@@ -18,10 +18,10 @@ from grosslat import (
     AlgebraParams,
     Lattice,
     Order,
-    exterior_square_form,
     extend_to_maximal,
     lift_gross_basis,
     order_from_pair,
+    order_form,
     represents,
 )
 
@@ -37,10 +37,8 @@ def freeze(label, order, alpha, ell):
     assert order.contains(alpha)
     assert alpha.reduced_trace() == p
     assert alpha.reduced_norm() == ell * p
-    gross = order.gross_lattice()
-    reduced = gross.minkowski_reduced()
-    gram = reduced.gram()
-    content, form = exterior_square_form(gram)
+    gram = order.gross_lattice().minkowski_reduced().gram()
+    content, form = order_form(order)
     assert content == 4 * p
     assert represents(form, ell) is None
     data = {

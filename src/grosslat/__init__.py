@@ -32,6 +32,7 @@ from .forms import (
     canonical_reduced_form,
     diagonalize_form,
     exterior_square_form,
+    order_form,
     representation_counts,
     represents,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "canonical_reduced_form",
     "diagonalize_form",
     "exterior_square_form",
+    "order_form",
     "representation_counts",
     "represents",
     "FixtureConfig",

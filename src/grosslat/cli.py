@@ -13,14 +13,8 @@ import sys
 
 from .correspond import endo_to_sublattice, pair_determinant, search_elements, sublattice_to_endo
 from .fixtures import BUILTIN_CASES, FixtureConfig, load_fixture
-from .forms import TernaryForm, exterior_square_form, represents
-from .orders import Order
+from .forms import TernaryForm, order_form, represents
 from .quat import rat_str
-
-
-def _fixture_form(order: Order) -> tuple[int, TernaryForm]:
-    reduced = order.gross_lattice().minkowski_reduced()
-    return exterior_square_form(reduced.gram())
 
 
 def _check(name: str, expected, actual) -> dict:
@@ -66,7 +60,7 @@ def cmd_reproduce(config: FixtureConfig) -> tuple[dict, bool]:
     p = config.algebra.p
     ell = config.ell
     alpha = config.alpha
-    content, form = _fixture_form(order)
+    content, form = order_form(order)
     witness = represents(form, ell)
     checks = [
         _check("alpha_in_order", True, order.contains(alpha)),
@@ -128,7 +122,7 @@ def cmd_equivalence(config: FixtureConfig, ell_max: int) -> tuple[dict, bool]:
         raise ValueError("--ell-max must be a positive integer")
     order = config.order()
     p = config.algebra.p
-    content, form = _fixture_form(order)
+    content, form = order_form(order)
     rows = []
     for ell in range(1, ell_max + 1):
         endo = bool(search_elements(order, 0, ell * p))

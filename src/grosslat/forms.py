@@ -23,7 +23,8 @@ from math import gcd, isqrt
 
 from .errors import DefinitenessError, IntegralityError
 from .lattice import GramMatrix
-from .linalg import det_fractions
+from .linalg import ldl
+from .orders import Order
 from .reduction import greedy_reduce
 
 
@@ -56,12 +57,7 @@ class TernaryForm:
         ]
 
     def is_positive_definite(self) -> bool:
-        m = self.gram()
-        if m[0][0] <= 0:
-            return False
-        if m[0][0] * m[1][1] - m[0][1] ** 2 <= 0:
-            return False
-        return det_fractions(m) > 0
+        return ldl(self.gram()) is not None
 
     def content(self) -> int:
         return gcd(*(abs(c) for c in self.coefficients()))
@@ -133,19 +129,11 @@ class DiagonalData:
 
 
 def _ldl(gram) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]:
-    d1 = Fraction(gram[0][0])
-    if d1 <= 0:
+    factors = ldl(gram)
+    if factors is None:
         raise DefinitenessError("form is not positive definite")
-    r12 = Fraction(gram[0][1]) / d1
-    r13 = Fraction(gram[0][2]) / d1
-    d2 = Fraction(gram[1][1]) - d1 * r12 ** 2
-    if d2 <= 0:
-        raise DefinitenessError("form is not positive definite")
-    r23 = (Fraction(gram[1][2]) - d1 * r12 * r13) / d2
-    d3 = Fraction(gram[2][2]) - d1 * r13 ** 2 - d2 * r23 ** 2
-    if d3 <= 0:
-        raise DefinitenessError("form is not positive definite")
-    return d1, d2, d3, r12, r13, r23
+    low, (d1, d2, d3) = factors
+    return d1, d2, d3, low[1][0], low[2][0], low[2][1]
 
 
 def diagonalize_form(form: TernaryForm) -> DiagonalData:
@@ -255,6 +243,12 @@ def exterior_square_form(gram: GramMatrix) -> tuple[int, TernaryForm]:
     content = gcd(*(abs(c) for c in ints))
     primitive = TernaryForm(*(c // content for c in ints))
     return content, primitive
+
+
+def order_form(order: Order) -> tuple[int, TernaryForm]:
+    """Content and primitive determinant form of an order's reduced Gross lattice."""
+    reduced = order.gross_lattice().minkowski_reduced()
+    return exterior_square_form(reduced.gram())
 
 
 def canonical_reduced_form(form: TernaryForm) -> TernaryForm:

@@ -20,7 +20,7 @@ from .errors import (
     EmptyLatticeInput,
     RankError,
 )
-from .linalg import det_fractions, hnf_pivot_product, hnf_rows, rational_rank, solve_left
+from .linalg import det_fractions, hnf_pivot_product, hnf_rows, ldl, rational_rank, solve_left
 from .quat import AlgebraParams, Quaternion, gross_map, inner, rat_str
 from .reduction import greedy_reduce
 
@@ -50,11 +50,7 @@ class GramMatrix:
         return det_fractions([list(r) for r in self.entries])
 
     def is_positive_definite(self) -> bool:
-        for k in range(1, self.size + 1):
-            minor = [list(r[:k]) for r in self.entries[:k]]
-            if det_fractions(minor) <= 0:
-                return False
-        return True
+        return ldl(self.entries) is not None
 
     def is_integral(self) -> bool:
         return all(e.denominator == 1 for row in self.entries for e in row)

@@ -139,6 +139,28 @@ def det_fractions(matrix: list[list[Fraction]]) -> Fraction:
     return det
 
 
+def ldl(matrix) -> tuple[list[list[Fraction]], list[Fraction]] | None:
+    """Exact LDL^T of a symmetric matrix, or None unless it is positive definite.
+
+    Returns (L, d) with L unit lower-triangular and matrix = L diag(d) L^T;
+    each d_k is a ratio of consecutive leading minors (Sylvester's criterion).
+    """
+    n = len(matrix)
+    low = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    diag: list[Fraction] = []
+    for i in range(n):
+        scaled = [Fraction(matrix[i][j]) for j in range(i + 1)]  # ends as low[i][j] * diag[j]
+        for j in range(i + 1):
+            for k in range(j):
+                scaled[j] -= scaled[k] * low[j][k]
+            if j < i:
+                low[i][j] = scaled[j] / diag[j]
+        if scaled[i] <= 0:
+            return None
+        diag.append(scaled[i])
+    return low, diag
+
+
 def rational_rank(rows: list[list[Fraction]]) -> int:
     work = [[Fraction(x) for x in r] for r in rows]
     rank = 0

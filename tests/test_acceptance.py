@@ -16,9 +16,9 @@ from grosslat import (
     TernaryForm,
     commutator_basis,
     endo_to_sublattice,
-    exterior_square_form,
     extend_to_maximal,
     order_from_pair,
+    order_form,
     plucker_lift,
     representation_counts,
     represents,
@@ -26,6 +26,8 @@ from grosslat import (
     sublattice_to_endo,
     trace_zero_commutator_basis,
 )
+
+from norm_scan import norm_p_ideal_by_scan
 
 F = Fraction
 
@@ -52,16 +54,12 @@ def criterion(number, description, budget=None):
         assert elapsed < budget, f"criterion {number} exceeded {budget}s budget"
 
 
-def fixture_form(order):
-    reduced = order.gross_lattice().minkowski_reduced()
-    return exterior_square_form(reduced.gram()), reduced
-
-
 def test_criterion_1_p11_counterexample(order_p11):
     with criterion(1, "p = 11 counter-example", budget=1.0):
         order = order_p11
         assert order.reduced_discriminant() == 11
-        (content, q), reduced = fixture_form(order)
+        content, q = order_form(order)
+        reduced = order.gross_lattice().minkowski_reduced()
         assert [int(v) for v in reduced.gram().diagonal] == [3, 15, 15]
         assert reduced.det() == 484
         assert content == 44
@@ -83,7 +81,7 @@ def test_criterion_2_p31_counterexample(fixture_p31):
         assert order.contains(alpha)
         assert alpha.reduced_trace() == 31
         assert alpha.reduced_norm() == 403
-        (content, q), _ = fixture_form(order)
+        content, q = order_form(order)
         assert content == 124
         assert representation_counts(q, 100) == \
             representation_counts(REFERENCE_FORMS[31], 100)
@@ -96,7 +94,7 @@ def test_criterion_3_p19_counterexample(order_p19, fixture_p19):
         assert order_p19.contains(alpha)
         assert alpha.reduced_trace() == 19
         assert alpha.reduced_norm() == 190
-        (content, q), _ = fixture_form(order_p19)
+        content, q = order_form(order_p19)
         assert content == 76
         assert representation_counts(q, 100) == \
             representation_counts(REFERENCE_FORMS[19], 100)
@@ -119,7 +117,7 @@ def test_criterion_5_commutator_ideal_identity(order_p11, order_p31, order_p19):
             p = order.algebra.p
             bracket_lattice = commutator_basis(order)
             norm_lattice = order.norm_p_ideal()
-            assert bracket_lattice == norm_lattice
+            assert bracket_lattice == norm_lattice == norm_p_ideal_by_scan(order)
             assert bracket_lattice.index_in(order.lattice) == p * p
 
 
@@ -146,7 +144,7 @@ def test_criterion_7_existence_equivalence(order_p11, order_p31, order_p19):
     with criterion(7, "existence equivalence for ell in [1, 50], 150 rows", budget=60.0):
         for order in (order_p11, order_p31, order_p19):
             p = order.algebra.p
-            (content, q), _ = fixture_form(order)
+            content, q = order_form(order)
             assert content == 4 * p
             for ell in range(1, 51):
                 endo_exists = bool(search_elements(order, 0, ell * p))

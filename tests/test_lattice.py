@@ -167,6 +167,40 @@ class TestGramAndDet:
         lat = Lattice(alg11, gross_basis_p11(alg11))
         assert lat.gram().is_positive_definite()
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_ldl_agrees_with_leading_minors(self, n):
+        from grosslat.linalg import det_fractions, ldl
+
+        rng = random.Random(205 + n)
+        matrices = []
+        for _ in range(60):
+            # B B^T is positive semidefinite, singular when B has fewer columns
+            cols = rng.choice([n - 2, n - 1, n, n])
+            b = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(n)]
+            matrices.append([[sum(x * y for x, y in zip(u, v)) for v in b] for u in b])
+            sym = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    sym[i][j] = sym[j][i] = rng.randint(-4, 6)
+            matrices.append(sym)
+        definite = 0
+        for m in matrices:
+            sylvester = all(det_fractions([row[:k] for row in m[:k]]) > 0
+                            for k in range(1, n + 1))
+            factors = ldl(m)
+            assert (factors is not None) == sylvester, m
+            assert GramMatrix(tuple(tuple(F(x) for x in row) for row in m)) \
+                .is_positive_definite() == sylvester
+            if factors is None:
+                continue
+            definite += 1
+            low, diag = factors
+            assert all(low[i][i] == 1 and not any(low[i][i + 1:]) for i in range(n))
+            assert [[sum(low[i][k] * diag[k] * low[j][k] for k in range(n))
+                     for j in range(n)] for i in range(n)] == m
+        singular = sum(det_fractions(m) == 0 for m in matrices)
+        assert 0 < definite < len(matrices) and singular > 0
+
 
 class TestGrossImage:
     def test_fixture_order_image(self, order_p11):
