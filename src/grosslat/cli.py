@@ -12,6 +12,7 @@ import json
 import sys
 
 from .correspond import endo_to_sublattice, pair_determinant, search_elements, sublattice_to_endo
+from .errors import MalformedInput
 from .fixtures import BUILTIN_CASES, FixtureConfig, load_fixture
 from .forms import TernaryForm, order_form, represents
 from .quat import rat_str
@@ -85,8 +86,9 @@ def cmd_correspond(direction: str, config: FixtureConfig, payload) -> tuple[dict
     order = config.order()
     algebra = config.algebra
     if direction == "to-endo":
-        g1 = algebra.from_coord_strings(payload[0])
-        g2 = algebra.from_coord_strings(payload[1])
+        if not isinstance(payload, list) or len(payload) != 2:
+            raise MalformedInput("--pair must be a JSON list of two coordinate lists")
+        g1, g2 = (algebra.from_coord_strings(row) for row in payload)
         alpha = sublattice_to_endo(order, g1, g2)
         det = pair_determinant(g1, g2)
         report = {

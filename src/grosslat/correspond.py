@@ -28,7 +28,7 @@ from .errors import (
     NormError,
     TraceError,
 )
-from .forms import enumerate_gram_solutions
+from .forms import TernaryForm, representations
 from .lattice import GramMatrix
 from .linalg import solve_left, xgcd
 from .orders import Order
@@ -154,9 +154,9 @@ def search_elements(order: Order, trace: int, norm: int) -> list[Quaternion]:
     """All x in the order with Trd(x) = trace and Nrd(x) = norm.
 
     Writes x = (trace + g)/2 with g in the Gross lattice of norm
-    4*norm - trace^2 and enumerates g exactly through the diagonalized
-    Gross Gram form, keeping the g whose lift lands in the order.  The empty
-    list is a valid result.
+    4*norm - trace^2 and enumerates g exactly with the integer kernel
+    `forms.representations` on the Gross Gram form, keeping the g whose
+    lift lands in the order.  The empty list is a valid result.
     """
     target = 4 * norm - trace * trace
     if norm < 0 or target < 0:
@@ -168,9 +168,9 @@ def search_elements(order: Order, trace: int, norm: int) -> list[Quaternion]:
         x = algebra.scalar(Fraction(trace, 2))
         return [x] if order.contains(x) else []
     b = order.gross_basis()
-    gram = [[inner(u, v) for v in b] for u in b]
+    form = TernaryForm.from_gram([[inner(u, v) for v in b] for u in b])
     found = []
-    for c1, c2, c3 in enumerate_gram_solutions(gram, Fraction(target)):
+    for c1, c2, c3 in representations(form, target):
         g = c1 * b[0] + c2 * b[1] + c3 * b[2]
         x = (trace + g) / 2
         if order.contains(x):

@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field check that raises one."""
+
+
+class MalformedInput(ValueError):
+    """Outside input (a JSON payload or fixture file) is missing a field or has the wrong shape."""
+
+
+def require_fields(data, fields, what: str) -> None:
+    """Raise MalformedInput unless data is a JSON object holding every field."""
+    if not isinstance(data, dict):
+        raise MalformedInput(f"{what} must be a JSON object")
+    missing = [name for name in fields if name not in data]
+    if missing:
+        raise MalformedInput(f"{what} is missing {', '.join(missing)}")
 
 
 class AlgebraMismatch(ValueError):

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
+from .errors import MalformedInput, require_fields
 from .lattice import Lattice
 from .orders import Order
 from .quat import AlgebraParams, Quaternion
@@ -33,7 +34,10 @@ class FixtureConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FixtureConfig":
+        require_fields(data, ("label", "algebra", "order_basis", "alpha", "ell"), "fixture")
         algebra = AlgebraParams.from_dict(data["algebra"])
+        if not isinstance(data["order_basis"], list):
+            raise MalformedInput("order_basis must be a list of coordinate lists")
         basis = [algebra.from_coord_strings(row) for row in data["order_basis"]]
         alpha = algebra.from_coord_strings(data["alpha"])
         ell = int(data["ell"])

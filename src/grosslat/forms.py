@@ -10,9 +10,16 @@ compound of G.  Dividing by the content (the gcd of the six coefficients)
 leaves a primitive positive definite form Q, and a sublattice of determinant
 content * n exists iff Q represents n.
 
-Representation testing is exact: the form is diagonalized by completing the
-square with rational arithmetic, and candidate coordinates are enumerated
-inside exact bounds, innermost solved by a rational square root.
+Representation testing and counting use integers only.  Completing the
+square twice gives, with P = 4AB - D^2, R = 2AF - DE and
+Delta = P(4AC - E^2) - R^2 = 16 A det(Gram),
+
+    4AP Q(x, y, z) = P (2Ax + Dy + Ez)^2 + (Py + Rz)^2 + Delta z^2,
+
+so a definite form has A, P, Delta > 0 and the vectors with Q <= n lie in
+exact `isqrt` bounds on z, then y, then 2Ax + Dy + Ez (Fincke and Pohst,
+Math. Comp. 44, 1985; Cohen, GTM 138, 2.7.3).  The solutions of Q = n come
+from an exact integer square test on the innermost coordinate.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import DefinitenessError, IntegralityError
+from .errors import DefinitenessError, IntegralityError, require_fields
 from .lattice import GramMatrix
 from .linalg import ldl
 from .orders import Order
@@ -64,11 +71,11 @@ class TernaryForm:
 
     def transformed(self, rows) -> "TernaryForm":
         """Form Q(v * U) for an integer substitution with rows U (new vars in rows)."""
-        m = self.gram()
-        n = [[sum(Fraction(rows[i][k]) * m[k][l] * rows[j][l]
-                  for k in range(3) for l in range(3))
-              for j in range(3)] for i in range(3)]
-        return _form_from_gram(n)
+        a, b, c, d, e, f = self.coefficients()
+        m = ((2 * a, d, e), (d, 2 * b, f), (e, f, 2 * c))  # Gram matrix of 2Q
+        um = [[sum(r[k] * m[k][l] for k in range(3)) for l in range(3)] for r in rows]
+        return _form_from_doubled_gram(
+            [[sum(u[l] * r[l] for l in range(3)) for r in rows] for u in um])
 
     def to_dict(self) -> dict:
         return {"A": self.a, "B": self.b, "C": self.c,
@@ -76,8 +83,13 @@ class TernaryForm:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TernaryForm":
-        return cls(int(data["A"]), int(data["B"]), int(data["C"]),
-                   int(data["D"]), int(data["E"]), int(data["F"]))
+        require_fields(data, "ABCDEF", "form")
+        return cls(*(int(data[k]) for k in "ABCDEF"))
+
+    @classmethod
+    def from_gram(cls, m) -> "TernaryForm":
+        """Form v * m * v^T of a half-integral symmetric 3x3 matrix."""
+        return _form_from_doubled_gram([[2 * v for v in row] for row in m])
 
     def __str__(self) -> str:
         names = ("x^2", "y^2", "z^2", "xy", "xz", "yz")
@@ -94,11 +106,12 @@ class TernaryForm:
         return " ".join(parts) if parts else "0"
 
 
-def _form_from_gram(m) -> TernaryForm:
-    coeffs = (m[0][0], m[1][1], m[2][2], 2 * m[0][1], 2 * m[0][2], 2 * m[1][2])
-    if any(Fraction(c).denominator != 1 for c in coeffs):
+def _form_from_doubled_gram(m2) -> TernaryForm:
+    diagonal = (m2[0][0], m2[1][1], m2[2][2])
+    cross = (m2[0][1], m2[0][2], m2[1][2])
+    if any(v % 2 for v in diagonal) or any(v % 1 for v in cross):
         raise IntegralityError("Gram matrix is not half-integral")
-    return TernaryForm(*(int(c) for c in coeffs))
+    return TernaryForm(*(int(v) // 2 for v in diagonal), *(int(v) for v in cross))
 
 
 @dataclass(frozen=True)
@@ -125,7 +138,7 @@ class DiagonalData:
             [self.d1 * self.r13, self.d1 * self.r12 * self.r13 + self.d2 * self.r23,
              self.d1 * self.r13 ** 2 + self.d2 * self.r23 ** 2 + self.d3],
         ]
-        return _form_from_gram(m)
+        return TernaryForm.from_gram(m)
 
 
 def _ldl(gram) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]:
@@ -141,53 +154,62 @@ def diagonalize_form(form: TernaryForm) -> DiagonalData:
     return DiagonalData(*_ldl(form.gram()))
 
 
-def _centered_range(shift: Fraction, bound: Fraction) -> list[int]:
-    """Integers c with (c + shift)^2 <= bound, ordered by (|c|, sign)."""
-    if bound < 0:
-        return []
-    radius = isqrt(bound.numerator // bound.denominator) + 1
-    lo = -shift.numerator // shift.denominator - radius - 1 if shift else -radius - 1
-    hi = lo + 2 * (radius + 1) + 2
-    vals = [c for c in range(lo, hi + 1) if (c + shift) ** 2 <= bound]
-    vals.sort(key=lambda c: (abs(c), c < 0))
-    return vals
+def _columns(form: TernaryForm, bound: int):
+    """Yield (y, z, room) for every integer pair (y, z) with room >= 0.
 
-
-def _exact_sqrt(value: Fraction) -> Fraction | None:
-    if value < 0:
-        return None
-    rn = isqrt(value.numerator)
-    rd = isqrt(value.denominator)
-    if rn * rn != value.numerator or rd * rd != value.denominator:
-        return None
-    return Fraction(rn, rd)
-
-
-def enumerate_gram_solutions(gram, target: Fraction):
-    """Yield every integer triple v with v * gram * v^T = target.
-
-    Enumeration is exhaustive inside diagonalized bounds, ordered outermost-
-    last coordinate by (|value|, sign), so the first yield is the canonical
-    witness.
+    For every integer x, Q(x, y, z) <= bound iff (2Ax + Dy + Ez)^2 <= room,
+    with equality iff Q(x, y, z) = bound, so every vector with Q <= bound
+    lies over a yielded pair.  z runs by (|z|, sign), positive first; y
+    ascends.  Raises DefinitenessError unless A, P and Delta are positive.
     """
-    if target < 0:
+    a, b, c, d, e, f = form.coefficients()
+    p = 4 * a * b - d * d
+    r = 2 * a * f - d * e
+    delta = p * (4 * a * c - e * e) - r * r
+    if a <= 0 or p <= 0 or delta <= 0:
+        raise DefinitenessError("form is not positive definite")
+    if bound < 0:
         return
-    d1, d2, d3, r12, r13, r23 = _ldl(gram)
-    for c3 in _centered_range(Fraction(0), target / d3):
-        rem2 = target - d3 * c3 * c3
-        for c2 in _centered_range(r23 * c3, rem2 / d2):
-            rem1 = rem2 - d2 * (c2 + r23 * c3) ** 2
-            root = _exact_sqrt(rem1 / d1)
-            if root is None:
-                continue
-            shift = r12 * c2 + r13 * c3
-            candidates = {-shift + root, -shift - root}
-            ints = sorted(
-                (int(c) for c in candidates if c.denominator == 1),
-                key=lambda c: (abs(c), c < 0),
-            )
-            for c1 in ints:
-                yield (c1, c2, c3)
+    top = 4 * a * p * bound
+    z_max = isqrt(top // delta)
+    for z in sorted(range(-z_max, z_max + 1), key=lambda c: (abs(c), c < 0)):
+        rest = top - delta * z * z
+        s = isqrt(rest)
+        rz = r * z
+        for y in range(-((s + rz) // p), (s - rz) // p + 1):
+            u = p * y + rz
+            # exact: rest and u^2 are both R^2 z^2 modulo P
+            yield y, z, (rest - u * u) // p
+
+
+def representations(form: TernaryForm, n: int):
+    """Yield every integer triple v with Q(v) = n, in witness order.
+
+    The order is by |z|, then |y|, then |x|, the positive sign first at each
+    level, so the first yield is the canonical witness.  Raises
+    DefinitenessError unless the form is positive definite.
+    """
+    a, d, e = form.a, form.d, form.e
+    two_a = 2 * a
+    hits: list[tuple[int, int, int]] = []
+    current = None
+    for y, z, room in _columns(form, n):
+        if z != current:
+            yield from sorted(hits, key=_witness_key)
+            hits, current = [], z
+        root = isqrt(room)
+        if root * root != room:
+            continue
+        lin = d * y + e * z
+        for lead in {root, -root}:
+            if (lead - lin) % two_a == 0:
+                hits.append(((lead - lin) // two_a, y, z))
+    yield from sorted(hits, key=_witness_key)
+
+
+def _witness_key(v: tuple[int, int, int]):
+    x, y, _ = v
+    return (abs(y), y < 0, abs(x), x < 0)
 
 
 def represents(form: TernaryForm, n: int) -> tuple[int, int, int] | None:
@@ -198,21 +220,23 @@ def represents(form: TernaryForm, n: int) -> tuple[int, int, int] | None:
     """
     if n < 0:
         return None
-    if not form.is_positive_definite():
-        raise DefinitenessError("representation testing needs a definite form")
-    for triple in enumerate_gram_solutions(form.gram(), Fraction(n)):
-        return triple
-    return None
+    return next(representations(form, n), None)
 
 
 def representation_counts(form: TernaryForm, n_max: int) -> list[int]:
-    """Vector [r(0), r(1), ..., r(n_max)] of representation counts."""
-    if not form.is_positive_definite():
-        raise DefinitenessError("representation counting needs a definite form")
+    """Vector [r(0), r(1), ..., r(n_max)] of representation counts.
+
+    One pass over the vectors with Q <= n_max, each counted where it lands.
+    """
+    a, b, c, d, e, f = form.coefficients()
+    two_a = 2 * a
     counts = [0] * (n_max + 1)
-    gram = form.gram()
-    for n in range(n_max + 1):
-        counts[n] = sum(1 for _ in enumerate_gram_solutions(gram, Fraction(n)))
+    for y, z, room in _columns(form, n_max):
+        lead = isqrt(room)
+        lin = d * y + e * z
+        const = b * y * y + c * z * z + f * y * z
+        for x in range(-((lead + lin) // two_a), (lead - lin) // two_a + 1):
+            counts[(a * x + lin) * x + const] += 1
     return counts
 
 
@@ -260,15 +284,9 @@ def canonical_reduced_form(form: TernaryForm) -> TernaryForm:
     """
     if not form.is_positive_definite():
         raise DefinitenessError("reduction needs a definite form")
-    gram = form.gram()
-    transform = greedy_reduce(gram)
-    reduced = form.transformed(transform)
-    red_gram = reduced.gram()
-    minima = []
-    for i in range(3):
-        minima.append(red_gram[i][i])
-    values = sorted(set(minima))
-    sols = {v: list(enumerate_gram_solutions(red_gram, v)) for v in values}
+    reduced = form.transformed(greedy_reduce(form.gram()))
+    minima = (reduced.a, reduced.b, reduced.c)
+    sols = {v: list(representations(reduced, v)) for v in set(minima)}
     best = None
     for v1 in sols[minima[0]]:
         for v2 in sols[minima[1]]:

@@ -6,12 +6,20 @@ the trailing-pivot convention; two lattices are equal iff the canonical
 bases coincide.  Constructors that canonicalize (``Lattice.from_generators``)
 return the HNF basis, while operations that care about a particular basis
 (Minkowski reduction) keep their own ordering.
+
+Membership is integer arithmetic only.  Each lattice computes once, on its
+first membership query, the adjugate and determinant of an r x r minor of
+its basis with denominators cleared (the whole basis in rank 4, the first
+nonsingular choice of r columns below).  Coordinates of x are then one
+integer vector-matrix product and an exact division; a candidate is
+accepted only after re-multiplying by the basis reproduces x exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from .errors import (
@@ -20,7 +28,9 @@ from .errors import (
     EmptyLatticeInput,
     RankError,
 )
-from .linalg import det_fractions, hnf_pivot_product, hnf_rows, ldl, rational_rank, solve_left
+from .linalg import (adjugate, det_fractions, det_int, hnf_pivot_product, hnf_rows, ldl,
+                     rational_rank)
+from .linalg import solve_left  # noqa: F401  (perfbench's tracer patches it in this namespace)
 from .quat import AlgebraParams, Quaternion, gross_map, inner, rat_str
 from .reduction import greedy_reduce
 
@@ -62,7 +72,7 @@ class GramMatrix:
 class Lattice:
     """Finitely generated Z-lattice in the algebra, with an ordered basis."""
 
-    __slots__ = ("algebra", "basis", "_canonical")
+    __slots__ = ("algebra", "basis", "_canonical", "_inverse")
 
     def __init__(self, algebra: AlgebraParams, basis, *, _assume_independent: bool = False):
         basis = tuple(basis)
@@ -76,6 +86,7 @@ class Lattice:
         self.algebra = algebra
         self.basis = basis
         self._canonical = None
+        self._inverse = None
 
     # -- construction -----------------------------------------------------
 
@@ -126,15 +137,38 @@ class Lattice:
             raise AlgebraMismatch("element from a different algebra")
         if self.rank == 0:
             return () if not x else None
-        rows = [list(q.coords) for q in self.basis]
-        sol = solve_left(rows, list(x.coords))
-        if sol is None or any(c.denominator != 1 for c in sol):
-            return None
-        ints = tuple(int(c) for c in sol)
-        check = self.algebra.quat()
-        for c, b in zip(ints, self.basis):
-            check = check + c * b
-        return ints if check == x else None
+        scale, rows, cols, adj, det = self._integer_inverse()
+        # x = num / den; the coordinates c solve c * rows = scale * x.
+        coords = x.coords
+        den = lcm(*(c.denominator for c in coords))
+        num = [c.numerator * (den // c.denominator) for c in coords]
+        picked = [scale * num[j] for j in cols]
+        div = den * det
+        sol = []
+        for k in range(len(cols)):
+            t = sum(v * row[k] for v, row in zip(picked, adj))
+            if t % div:
+                return None
+            sol.append(t // div)
+        for j in range(4):
+            if den * sum(c * row[j] for c, row in zip(sol, rows)) != scale * num[j]:
+                return None
+        return tuple(sol)
+
+    def _integer_inverse(self):
+        """(scale, rows, cols, adj, det): rows = scale * basis is integral and
+        adj * rows[:, cols] = det * identity with det != 0; computed once."""
+        if self._inverse is None:
+            coords = [q.coords for q in self.basis]
+            scale = lcm(*(c.denominator for row in coords for c in row))
+            rows = [[c.numerator * (scale // c.denominator) for c in row] for row in coords]
+            for cols in combinations(range(4), self.rank):
+                minor = [[row[j] for j in cols] for row in rows]
+                det = det_int(minor)
+                if det:
+                    break
+            self._inverse = (scale, rows, cols, adjugate(minor), det)
+        return self._inverse
 
     def contains(self, x: Quaternion) -> bool:
         return self.coords_of(x) is not None

@@ -113,6 +113,25 @@ def hnf_pivot_product(rows: list[list[int]]) -> int:
     return out
 
 
+def det_int(matrix: list[list[int]]) -> int:
+    """Determinant of a small square integer matrix by cofactor expansion."""
+    if not matrix:
+        return 1
+    return sum((-1) ** j * a * det_int([row[:j] + row[j + 1:] for row in matrix[1:]])
+               for j, a in enumerate(matrix[0]) if a)
+
+
+def adjugate(matrix: list[list[int]]) -> list[list[int]]:
+    """Adjugate of a square integer matrix: matrix * adj = det * identity."""
+    n = len(matrix)
+    return [
+        [(-1) ** (i + j) * det_int([row[:i] + row[i + 1:]
+                                    for k, row in enumerate(matrix) if k != j])
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
 def det_fractions(matrix: list[list[Fraction]]) -> Fraction:
     """Determinant of a square matrix by exact Gaussian elimination."""
     n = len(matrix)

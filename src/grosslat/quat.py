@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import AlgebraMismatch
+from .errors import AlgebraMismatch, MalformedInput, require_fields
 from .linalg import is_prime
 
 RatLike = Union[int, str, Fraction]
@@ -62,8 +62,8 @@ class AlgebraParams:
         return self.quat(0, 0, 0, 1)
 
     def from_coord_strings(self, coords) -> "Quaternion":
-        if len(coords) != 4:
-            raise ValueError("quaternion coordinates must have length 4")
+        if not isinstance(coords, (list, tuple)) or len(coords) != 4:
+            raise MalformedInput("quaternion coordinates must be a list of length 4")
         return self.quat(*coords)
 
     def to_dict(self) -> dict:
@@ -71,6 +71,7 @@ class AlgebraParams:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AlgebraParams":
+        require_fields(data, ("a", "p"), "algebra")
         return cls(int(data["a"]), int(data["p"]))
 
 

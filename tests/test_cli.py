@@ -102,6 +102,32 @@ class TestCorrespond:
         assert code == 1
 
 
+class TestMalformedInput:
+    """Bad payloads are refused with a JSON error and exit status 1."""
+
+    def assert_refused(self, capsys, *argv, mentions):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert mentions in json.loads(err)["error"]
+
+    def test_form_missing_coefficient(self, capsys):
+        self.assert_refused(capsys, "represents", "--form", '{"A":1,"B":1}', "--ell", "3",
+                            mentions="C")
+
+    def test_pair_with_one_vector(self, capsys):
+        self.assert_refused(capsys, "correspond", "to-endo", "--case", "p11",
+                            "--pair", '[["0","1","0","0"]]', mentions="two coordinate lists")
+
+    def test_fixture_without_order_basis(self, capsys, tmp_path, fixture_p11):
+        data = fixture_p11.to_dict()
+        del data["order_basis"]
+        path = tmp_path / "no-basis.json"
+        path.write_text(json.dumps(data), "utf-8")
+        self.assert_refused(capsys, "verify-order", "--config", str(path),
+                            mentions="order_basis")
+
+
 class TestEquivalence:
     def test_small_table(self, capsys):
         code, out, _ = run_cli(capsys, "equivalence", "--case", "p11", "--ell-max", "12")

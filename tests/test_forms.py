@@ -9,11 +9,15 @@ from grosslat import (
     diagonalize_form,
     exterior_square_form,
     pair_determinant,
+    inner,
     representation_counts,
     represents,
 )
 from grosslat.errors import DefinitenessError, IntegralityError
+from grosslat.forms import representations
 from grosslat.lattice import GramMatrix
+
+from fraction_enum import counts_by_value, enumerate_gram_solutions
 
 F = Fraction
 
@@ -173,6 +177,78 @@ class TestRepresents:
                 for z in range(-3, 4):
                     assert 12 * Q11(x, y, z) == \
                         3 * (2 * x - y - z) ** 2 + (3 * y + z) ** 2 + 44 * z * z
+
+
+def unimodular(rng, steps=8):
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for _ in range(steps):
+        i, j = rng.randrange(3), rng.randrange(3)
+        if i != j:
+            c = rng.randint(-2, 2)
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+def assert_same_sequence(form, n, gram=None):
+    gram = form.gram() if gram is None else gram
+    assert list(representations(form, n)) == list(enumerate_gram_solutions(gram, n)), \
+        f"{form} at n={n}"
+
+
+class TestKernelMatchesFractionOracle:
+    """The integer kernel yields the rational enumerator's exact sequence."""
+
+    def test_gross_grams_of_fixtures(self, order_p11, order_p31, order_p19):
+        for order in (order_p11, order_p31, order_p19):
+            p = order.algebra.p
+            b = order.gross_basis()
+            gram = [[inner(u, v) for v in b] for u in b]
+            form = TernaryForm.from_gram(gram)
+            for ell in range(1, 51):
+                assert_same_sequence(form, 4 * ell * p, gram)
+
+    def test_fixture_forms(self):
+        for form in (Q11, Q31, Q19):
+            for n in range(101):
+                assert_same_sequence(form, n)
+            assert representation_counts(form, 100) == counts_by_value(form.gram(), 100)
+
+    def test_random_forms(self):
+        rng = random.Random(605)
+        forms = [random_definite_form(rng) for _ in range(8)]
+        forms += [f.transformed(unimodular(rng)) for f in forms[:6]]
+        assert any(c % 2 for f in forms for c in f.coefficients()[3:]), "no half-integral Gram"
+        for form in forms:
+            for n in range(41):
+                assert_same_sequence(form, n)
+            assert representation_counts(form, 40) == counts_by_value(form.gram(), 40)
+
+    def test_edge_inputs(self):
+        assert representation_counts(Q11, 0) == [1]
+        assert representation_counts(Q11, -1) == []
+        assert list(representations(Q11, -3)) == []
+        indefinite = TernaryForm(1, -1, 1, 0, 0, 0)
+        for call in (lambda: represents(indefinite, 1),
+                     lambda: representation_counts(indefinite, 5)):
+            with pytest.raises(DefinitenessError):
+                call()
+
+
+class TestTransformed:
+    def test_matches_rational_gram_product(self):
+        rng = random.Random(606)
+        for _ in range(20):
+            form = random_definite_form(rng)
+            rows = unimodular(rng)
+            m = form.gram()
+            n = [[sum(F(rows[i][k]) * m[k][l] * rows[j][l]
+                      for k in range(3) for l in range(3))
+                  for j in range(3)] for i in range(3)]
+            assert form.transformed(rows) == TernaryForm.from_gram(n)
+
+    def test_rejects_non_integral_substitution(self):
+        with pytest.raises(IntegralityError):
+            Q11.transformed([[F(1, 2), 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
 class TestCanonicalReducedForm:

@@ -5,6 +5,7 @@ import pytest
 
 from grosslat import GramMatrix, Lattice
 from grosslat.errors import AlgebraMismatch, ContainmentError, EmptyLatticeInput, RankError
+from grosslat.linalg import det_int, rational_rank, solve_left
 
 from conftest import random_quat
 
@@ -109,6 +110,91 @@ class TestMembership:
         lat = Lattice.from_generators(alg11, [alg11.i])
         with pytest.raises(AlgebraMismatch):
             lat.contains(alg19.i)
+
+
+def random_lattice(rng, algebra, rank):
+    """A lattice on `rank` random independent quaternions (as given, not HNF)."""
+    while True:
+        basis = [random_quat(rng, algebra, span=5) for _ in range(rank)]
+        if rational_rank([list(q.coords) for q in basis]) == rank:
+            return Lattice(algebra, basis)
+
+
+def combination(lattice, coeffs):
+    x = lattice.algebra.quat()
+    for c, b in zip(coeffs, lattice.basis):
+        x = x + c * b
+    return x
+
+
+def expected_coords(lattice, x):
+    """Coordinates by exact rational elimination, or None for a non-member."""
+    sol = solve_left([list(q.coords) for q in lattice.basis], list(x.coords))
+    if sol is None or any(c.denominator != 1 for c in sol):
+        return None
+    return tuple(int(c) for c in sol)
+
+
+class TestIntegerMembership:
+    """coords_of (cached integer adjugate) against linalg.solve_left."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_random_lattices(self, alg11, rank):
+        rng = random.Random(210 + rank)
+        for _ in range(12):
+            lat = random_lattice(rng, alg11, rank)
+            for _ in range(10):
+                coeffs = tuple(rng.randint(-6, 6) for _ in range(rank))
+                member = combination(lat, coeffs)
+                assert lat.coords_of(member) == coeffs == expected_coords(lat, member)
+                halves = [F(c, rng.choice((1, 2, 3))) for c in coeffs]
+                inside_span = combination(lat, halves)
+                assert lat.coords_of(inside_span) == expected_coords(lat, inside_span)
+                if any(c.denominator != 1 for c in halves):
+                    assert lat.coords_of(inside_span) is None
+                other = random_quat(rng, alg11)
+                assert lat.coords_of(other) == expected_coords(lat, other)
+
+    def test_gross_lattice_rank_three(self, order_p11, order_p19):
+        rng = random.Random(215)
+        for order in (order_p11, order_p19):
+            gross = order.gross_lattice()
+            assert gross.rank == 3
+            for _ in range(40):
+                coeffs = tuple(rng.randint(-9, 9) for _ in range(3))
+                member = combination(gross, coeffs)
+                assert gross.coords_of(member) == coeffs
+                off = combination(gross, [F(c, 2) for c in coeffs])
+                assert gross.coords_of(off) == expected_coords(gross, off)
+                # the scalar part leaves the trace-zero span
+                assert gross.coords_of(member + 1) is None
+                assert expected_coords(gross, member + 1) is None
+
+    def test_index_matches_coefficient_determinant(self, alg11):
+        rng = random.Random(216)
+        for rank in (1, 2, 3, 4):
+            top = random_lattice(rng, alg11, rank)
+            for _ in range(5):
+                rows = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(rank)]
+                det = det_int(rows)
+                if det == 0:
+                    continue
+                sub = Lattice(alg11, [combination(top, r) for r in rows])
+                assert sub.index_in(top) == abs(det)
+
+    def test_caches_are_per_lattice(self, alg11):
+        base = Lattice.from_generators(alg11, [alg11.one, alg11.i, alg11.j, alg11.k])
+        same = Lattice.from_generators(alg11, [alg11.one, alg11.i, alg11.j, alg11.k])
+        doubled = Lattice.from_generators(alg11, [2 * b for b in base.basis])
+        x = alg11.quat(1, 3, 5, 7)
+        for _ in range(2):
+            assert base.coords_of(x) == (1, 3, 5, 7) == same.coords_of(x)
+            assert doubled.coords_of(x) is None
+            assert doubled.coords_of(2 * x) == (1, 3, 5, 7)
+        assert base._inverse is not same._inverse
+        assert base._inverse is not doubled._inverse
+        assert base._inverse[0] == 1 and doubled._inverse[0] == 1
+        assert base._inverse[4] == 1 and doubled._inverse[4] == 16
 
 
 class TestIndex:
