@@ -29,8 +29,8 @@ from .errors import (
     TraceError,
 )
 from .forms import TernaryForm, representations
-from .lattice import GramMatrix
-from .linalg import solve_left, xgcd
+from .lattice import Lattice
+from .linalg import xgcd
 from .orders import Order
 from .quat import Quaternion, inner
 
@@ -58,8 +58,7 @@ class SublatticePair:
     gamma2: Quaternion
 
     def det(self) -> Fraction:
-        g = GramMatrix.from_quaternions((self.gamma1, self.gamma2))
-        return g.det()
+        return pair_determinant(self.gamma1, self.gamma2)
 
 
 def pair_determinant(g1: Quaternion, g2: Quaternion) -> Fraction:
@@ -132,13 +131,11 @@ def endo_to_sublattice(order: Order, alpha: Quaternion) -> SublatticePair:
     if norm % p != 0:
         raise NormError(f"Nrd = {norm} is not divisible by p = {p}")
     triple = trace_zero_commutator_basis(order)
-    rows = [list(e.coords) for e in triple]
-    sol = solve_left(rows, list(alpha.coords))
-    if sol is None or any(c.denominator != 1 for c in sol):
+    coords = Lattice(order.algebra, triple).coords_of(alpha)
+    if coords is None:
         raise MembershipError(
             "element is not in the trace-zero sublattice of the commutator ideal")
-    a1, a2, a3 = (int(c) for c in sol)
-    coeff = plucker_lift(a1, a2, a3)
+    coeff = plucker_lift(*coords)
     b = order.gross_basis()
     (c11, c12, c13), (c21, c22, c23) = coeff.rows
     g1 = c11 * b[0] + c12 * b[1] + c13 * b[2]
@@ -155,25 +152,29 @@ def search_elements(order: Order, trace: int, norm: int) -> list[Quaternion]:
 
     Writes x = (trace + g)/2 with g in the Gross lattice of norm
     4*norm - trace^2 and enumerates g exactly with the integer kernel
-    `forms.representations` on the Gross Gram form, keeping the g whose
-    lift lands in the order.  The empty list is a valid result.
+    `forms.representations` on the Gross Gram form.  For the normalized
+    basis {1, a_i}, g = sum c_i (2 a_i - Trd a_i) and s = sum c_i Trd(a_i),
+    x = (trace - s)/2 + sum c_i a_i lies in the order iff trace - s is even.
+    It always is, as Nrd(g) = 4 Nrd(y) - s^2 for y = sum c_i a_i; an odd
+    value raises AlgebraInconsistency.  The empty list is a valid result.
     """
     target = 4 * norm - trace * trace
     if norm < 0 or target < 0:
         return []
-    algebra = order.algebra
-    if target == 0:
-        if trace % 2 != 0:
-            return []
-        x = algebra.scalar(Fraction(trace, 2))
-        return [x] if order.contains(x) else []
+    one, *units = order.normalized_basis()
+    if target == 0:  # 4 * norm = trace^2 makes trace even
+        return [one * (trace // 2)]
     b = order.gross_basis()
     form = TernaryForm.from_gram([[inner(u, v) for v in b] for u in b])
+    traces = [a.reduced_trace().numerator for a in units]
     found = []
-    for c1, c2, c3 in representations(form, target):
-        g = c1 * b[0] + c2 * b[1] + c3 * b[2]
-        x = (trace + g) / 2
-        if order.contains(x):
-            found.append(x)
+    for coeffs in representations(form, target):
+        twice_scalar = trace - sum(c * t for c, t in zip(coeffs, traces))
+        if twice_scalar % 2:
+            raise AlgebraInconsistency(f"(trace + g)/2 escaped the order at g = {coeffs}")
+        x = one * (twice_scalar // 2)
+        for c, a in zip(coeffs, units):
+            x = x + c * a
+        found.append(x)
     found.sort(key=lambda q: q.coords)
     return found

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the field check that raises one."""
+"""Exception types shared across the package, and the input checks that raise one."""
 
 
 class MalformedInput(ValueError):
@@ -12,6 +12,18 @@ def require_fields(data, fields, what: str) -> None:
     missing = [name for name in fields if name not in data]
     if missing:
         raise MalformedInput(f"{what} is missing {', '.join(missing)}")
+
+
+def scalar_field(value, what: str):
+    """Return value unless it is a JSON float, bool, null, list or object.
+
+    Integers and rational strings such as "-1/2" pass through.  A float would
+    be truncated by int() or turned into a binary fraction by Fraction(), so
+    it is refused like the other wrong types.
+    """
+    if value is None or isinstance(value, (bool, float, list, dict)):
+        raise MalformedInput(f"{what} must be an integer or a string, got {value!r}")
+    return value
 
 
 class AlgebraMismatch(ValueError):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import MalformedInput, require_fields
+from .errors import MalformedInput, require_fields, scalar_field
 from .lattice import Lattice
 from .orders import Order
 from .quat import AlgebraParams, Quaternion
@@ -40,7 +40,7 @@ class FixtureConfig:
             raise MalformedInput("order_basis must be a list of coordinate lists")
         basis = [algebra.from_coord_strings(row) for row in data["order_basis"]]
         alpha = algebra.from_coord_strings(data["alpha"])
-        ell = int(data["ell"])
+        ell = int(scalar_field(data["ell"], "fixture field ell"))
         if ell < 1:
             raise ValueError(f"ell must be positive, got {ell}")
         return cls(

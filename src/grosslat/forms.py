@@ -10,15 +10,17 @@ compound of G.  Dividing by the content (the gcd of the six coefficients)
 leaves a primitive positive definite form Q, and a sublattice of determinant
 content * n exists iff Q represents n.
 
-Representation testing and counting use integers only.  Completing the
-square twice gives, with P = 4AB - D^2, R = 2AF - DE and
-Delta = P(4AC - E^2) - R^2 = 16 A det(Gram),
+Every fact about a form's shape comes from one completed square.  With
+P = 4AB - D^2, R = 2AF - DE and Delta = P(4AC - E^2) - R^2 = 16 A det(Gram),
 
-    4AP Q(x, y, z) = P (2Ax + Dy + Ez)^2 + (Py + Rz)^2 + Delta z^2,
+    4AP Q(x, y, z) = P (2Ax + Dy + Ez)^2 + (Py + Rz)^2 + Delta z^2.
 
-so a definite form has A, P, Delta > 0 and the vectors with Q <= n lie in
-exact `isqrt` bounds on z, then y, then 2Ax + Dy + Ez (Fincke and Pohst,
-Math. Comp. 44, 1985; Cohen, GTM 138, 2.7.3).  The solutions of Q = n come
+The form is positive definite iff A, P, Delta > 0 (Sylvester's criterion:
+A, P/4 and Delta/16A are the leading minors of its Gram matrix).  Dividing
+by 4AP gives the rational diagonalization, and the integer identity drives
+representation testing and counting: the vectors with Q <= n lie in exact
+`isqrt` bounds on z, then y, then 2Ax + Dy + Ez (Fincke and Pohst, Math.
+Comp. 44, 1985; Cohen, GTM 138, 2.7.3), and the solutions of Q = n come
 from an exact integer square test on the innermost coordinate.
 """
 
@@ -28,9 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import DefinitenessError, IntegralityError, require_fields
+from .errors import DefinitenessError, IntegralityError, require_fields, scalar_field
 from .lattice import GramMatrix
-from .linalg import ldl
 from .orders import Order
 from .reduction import greedy_reduce
 
@@ -64,7 +65,8 @@ class TernaryForm:
         ]
 
     def is_positive_definite(self) -> bool:
-        return ldl(self.gram()) is not None
+        p, _, delta = _completed_square(self)
+        return self.a > 0 and p > 0 and delta > 0
 
     def content(self) -> int:
         return gcd(*(abs(c) for c in self.coefficients()))
@@ -84,7 +86,7 @@ class TernaryForm:
     @classmethod
     def from_dict(cls, data: dict) -> "TernaryForm":
         require_fields(data, "ABCDEF", "form")
-        return cls(*(int(data[k]) for k in "ABCDEF"))
+        return cls(*(int(scalar_field(data[k], f"form field {k}")) for k in "ABCDEF"))
 
     @classmethod
     def from_gram(cls, m) -> "TernaryForm":
@@ -141,17 +143,26 @@ class DiagonalData:
         return TernaryForm.from_gram(m)
 
 
-def _ldl(gram) -> tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]:
-    factors = ldl(gram)
-    if factors is None:
-        raise DefinitenessError("form is not positive definite")
-    low, (d1, d2, d3) = factors
-    return d1, d2, d3, low[1][0], low[2][0], low[2][1]
+def _completed_square(form: TernaryForm) -> tuple[int, int, int]:
+    """(P, R, Delta) of 4AP Q = P (2Ax + Dy + Ez)^2 + (Py + Rz)^2 + Delta z^2."""
+    a, b, c, d, e, f = form.coefficients()
+    p = 4 * a * b - d * d
+    r = 2 * a * f - d * e
+    return p, r, p * (4 * a * c - e * e) - r * r
 
 
 def diagonalize_form(form: TernaryForm) -> DiagonalData:
-    """Exact completing-the-square diagonalization of a definite form."""
-    return DiagonalData(*_ldl(form.gram()))
+    """Exact completing-the-square diagonalization of a definite form.
+
+    d = (A, P/4A, Delta/4AP) and r = (D/2A, E/2A, R/P), read off the
+    completed square.
+    """
+    if not form.is_positive_definite():
+        raise DefinitenessError("form is not positive definite")
+    a = form.a
+    p, r, delta = _completed_square(form)
+    return DiagonalData(Fraction(a), Fraction(p, 4 * a), Fraction(delta, 4 * a * p),
+                        Fraction(form.d, 2 * a), Fraction(form.e, 2 * a), Fraction(r, p))
 
 
 def _columns(form: TernaryForm, bound: int):
@@ -162,12 +173,10 @@ def _columns(form: TernaryForm, bound: int):
     lies over a yielded pair.  z runs by (|z|, sign), positive first; y
     ascends.  Raises DefinitenessError unless A, P and Delta are positive.
     """
-    a, b, c, d, e, f = form.coefficients()
-    p = 4 * a * b - d * d
-    r = 2 * a * f - d * e
-    delta = p * (4 * a * c - e * e) - r * r
-    if a <= 0 or p <= 0 or delta <= 0:
+    if not form.is_positive_definite():
         raise DefinitenessError("form is not positive definite")
+    a = form.a
+    p, r, delta = _completed_square(form)
     if bound < 0:
         return
     top = 4 * a * p * bound

@@ -28,8 +28,7 @@ from .errors import (
     EmptyLatticeInput,
     RankError,
 )
-from .linalg import (adjugate, det_fractions, det_int, hnf_pivot_product, hnf_rows, ldl,
-                     rational_rank)
+from .linalg import adjugate, det_fractions, det_int, hnf_rows
 from .linalg import solve_left  # noqa: F401  (perfbench's tracer patches it in this namespace)
 from .quat import AlgebraParams, Quaternion, gross_map, inner, rat_str
 from .reduction import greedy_reduce
@@ -60,7 +59,9 @@ class GramMatrix:
         return det_fractions([list(r) for r in self.entries])
 
     def is_positive_definite(self) -> bool:
-        return ldl(self.entries) is not None
+        """Sylvester's criterion: every leading principal minor is positive."""
+        return all(det_fractions([list(row[:k]) for row in self.entries[:k]]) > 0
+                   for k in range(1, self.size + 1))
 
     def is_integral(self) -> bool:
         return all(e.denominator == 1 for row in self.entries for e in row)
@@ -79,14 +80,14 @@ class Lattice:
         for q in basis:
             if q.algebra != algebra:
                 raise AlgebraMismatch("basis vector from a different algebra")
-        if not _assume_independent and basis:
-            coords = [list(q.coords) for q in basis]
-            if rational_rank(coords) != len(basis):
-                raise RankError("basis vectors are linearly dependent")
         self.algebra = algebra
         self.basis = basis
         self._canonical = None
         self._inverse = None
+        if not _assume_independent and basis:
+            # the canonical HNF basis drops exactly the dependent directions
+            if len(self.canonical_basis) != len(basis):
+                raise RankError("basis vectors are linearly dependent")
 
     # -- construction -----------------------------------------------------
 
@@ -197,7 +198,7 @@ class Lattice:
             if c is None:
                 raise ContainmentError(f"{b} is not in the claimed superlattice")
             coord_rows.append(list(c))
-        return hnf_pivot_product(coord_rows)
+        return abs(det_int(coord_rows))
 
     # -- derived lattices ----------------------------------------------------
 

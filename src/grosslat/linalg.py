@@ -1,4 +1,13 @@
-"""Exact integer and rational linear algebra for small (rank <= 4) problems."""
+"""Exact integer and rational linear algebra for small (rank <= 4) problems.
+
+Integer routines carry the package: Hermite normal form, and the
+determinant and adjugate behind membership and the trace dual.  Two
+rational routines remain.  `det_fractions` gives Gram determinants, their
+leading minors (Sylvester's criterion) and Cramer's rule in reduction.
+`solve_left` has no caller in the package: the tests use it as an
+independent oracle for integer membership, and the benchmark's tracer
+(`perfbench`) imports and patches it under this name.
+"""
 
 from __future__ import annotations
 
@@ -101,18 +110,6 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     return [list(reversed(r)) for r in reversed(ech)]
 
 
-def hnf_pivot_product(rows: list[list[int]]) -> int:
-    """Product of the HNF pivots of an integer matrix (its lattice covolume)."""
-    out = 1
-    for r in hnf_rows(rows):
-        piv = 0
-        for x in r:
-            if x:
-                piv = x
-        out *= piv
-    return out
-
-
 def det_int(matrix: list[list[int]]) -> int:
     """Determinant of a small square integer matrix by cofactor expansion."""
     if not matrix:
@@ -156,50 +153,6 @@ def det_fractions(matrix: list[list[Fraction]]) -> Fraction:
                 f = m[i][col] * inv
                 m[i] = [x - f * y for x, y in zip(m[i], m[col])]
     return det
-
-
-def ldl(matrix) -> tuple[list[list[Fraction]], list[Fraction]] | None:
-    """Exact LDL^T of a symmetric matrix, or None unless it is positive definite.
-
-    Returns (L, d) with L unit lower-triangular and matrix = L diag(d) L^T;
-    each d_k is a ratio of consecutive leading minors (Sylvester's criterion).
-    """
-    n = len(matrix)
-    low = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    diag: list[Fraction] = []
-    for i in range(n):
-        scaled = [Fraction(matrix[i][j]) for j in range(i + 1)]  # ends as low[i][j] * diag[j]
-        for j in range(i + 1):
-            for k in range(j):
-                scaled[j] -= scaled[k] * low[j][k]
-            if j < i:
-                low[i][j] = scaled[j] / diag[j]
-        if scaled[i] <= 0:
-            return None
-        diag.append(scaled[i])
-    return low, diag
-
-
-def rational_rank(rows: list[list[Fraction]]) -> int:
-    work = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    for col in range(ncols):
-        sel = None
-        for i in range(rank, len(work)):
-            if work[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[rank], work[sel] = work[sel], work[rank]
-        piv = work[rank][col]
-        for i in range(rank + 1, len(work)):
-            if work[i][col] != 0:
-                f = work[i][col] / piv
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return rank
 
 
 def solve_left(rows: list[list[Fraction]], target: list[Fraction]) -> tuple[Fraction, ...] | None:

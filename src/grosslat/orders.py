@@ -23,15 +23,14 @@ from .errors import (
     SaturationError,
 )
 from .lattice import Lattice
-from .linalg import smallest_prime_factor, solve_left
+from .linalg import adjugate, det_int, smallest_prime_factor
 from .quat import AlgebraParams, Quaternion, gross_map, inner
 
 
 class Order:
     """A verified order; construction raises NotAnOrder when the axioms fail."""
 
-    __slots__ = ("lattice", "verified_ring", "_verified_maximal", "_discriminant",
-                 "_gross_lattice")
+    __slots__ = ("lattice", "_discriminant", "_gross_lattice")
 
     def __init__(self, lattice: Lattice):
         if lattice.rank != 4:
@@ -46,8 +45,6 @@ class Order:
                 if not lattice.contains(u * v):
                     raise NotAnOrder(f"not closed under multiplication: {u} * {v}")
         self.lattice = lattice
-        self.verified_ring = True
-        self._verified_maximal: bool | None = None
         self._discriminant: int | None = None
         self._gross_lattice: Lattice | None = None
 
@@ -85,9 +82,7 @@ class Order:
         return self._discriminant
 
     def is_maximal(self) -> bool:
-        if self._verified_maximal is None:
-            self._verified_maximal = self.reduced_discriminant() == self.algebra.p
-        return self._verified_maximal
+        return self.reduced_discriminant() == self.algebra.p
 
     # -- normalized and Gross bases ----------------------------------------
 
@@ -118,22 +113,26 @@ class Order:
         """The lattice P = {x in O : p | Nrd(x)}, in closed form as p * O^#.
 
         O^# is the dual of O under Trd(x * conj(y)); for a maximal order it is
-        P^{-1} and P^2 = pO (Voight, Quaternion Algebras, ch. 15-16).  The rows
-        of p * T^{-1}, for the trace Gram T of the basis, are coordinates in O.
+        P^{-1} and P^2 = pO (Voight, Quaternion Algebras, ch. 15-16).  For the
+        integer trace Gram T of the basis, the rows of p * T^{-1} =
+        p * adj(T) / det(T) are coordinates in O of a basis of p * O^#.
         """
         p = self.algebra.p
         if not self.is_maximal():
             raise NotMaximal("the norm-p ideal requires a maximal order")
         basis = self.lattice.canonical_basis
-        trace_gram = [[2 * inner(u, v) for v in basis] for u in basis]
+        traces = [[2 * inner(u, v) for v in basis] for u in basis]
+        if any(t.denominator != 1 for row in traces for t in row):
+            raise AlgebraInconsistency("trace form of the order is not integral")
+        trace_gram = [[t.numerator for t in row] for row in traces]
+        det = det_int(trace_gram)
         generators = []
-        for k in range(4):
-            row = solve_left(trace_gram, [p if j == k else 0 for j in range(4)])
-            if row is None or any(c.denominator != 1 for c in row):
+        for row in adjugate(trace_gram):
+            if any(p * c % det for c in row):
                 raise AlgebraInconsistency("p times the dual basis is not in the order")
             x = self.algebra.quat()
             for c, b in zip(row, basis):
-                x = x + c * b
+                x = x + (p * c // det) * b
             generators.append(x)
         return Lattice.from_generators(self.algebra, generators)
 
@@ -215,7 +214,6 @@ def extend_to_maximal(order: Order) -> Order:
     while True:
         disc = current.reduced_discriminant()
         if disc == p:
-            current._verified_maximal = True
             return current
         if disc % p:
             raise SaturationError(
@@ -243,10 +241,7 @@ def _enlarge_once(order: Order, q: int) -> Order | None:
         closed = _adjoin(order, x)
         if closed is None:
             continue
-        try:
-            candidate = Order(closed)
-        except NotAnOrder:
-            continue
+        candidate = Order(closed)
         if candidate.reduced_discriminant() < disc:
             return candidate
     return None
@@ -256,12 +251,16 @@ def _adjoin(order: Order, x: Quaternion) -> Lattice | None:
     """Smallest multiplicatively closed lattice containing O and x, or None.
 
     Iterated closure; bails out when a basis element goes non-integral or the
-    covolume drops below that of a maximal order (det Gram < p^2 / 16).
+    covolume drops below that of a maximal order (det Gram < p^2 / 16).  Each
+    round adds a product outside the current lattice, so the new lattice
+    contains it with index >= 2 and det Gram falls by a factor >= 4: the
+    floor ends the loop after finitely many rounds.  A lattice returned here
+    contains 1, has an integral basis and is closed, so it is an order.
     """
     p = order.algebra.p
     floor_det = Fraction(p * p, 16)
     current = Lattice.from_generators(order.algebra, [*order.lattice.basis, x])
-    for _ in range(64):
+    while True:
         if current.rank != 4 or current.det() < floor_det:
             return None
         if not all(b.is_integral() for b in current.basis):
@@ -276,4 +275,3 @@ def _adjoin(order: Order, x: Quaternion) -> Lattice | None:
         if not new_products:
             return current
         current = Lattice.from_generators(order.algebra, [*basis, *new_products])
-    return None

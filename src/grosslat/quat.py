@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import AlgebraMismatch, MalformedInput, require_fields
+from .errors import AlgebraMismatch, MalformedInput, require_fields, scalar_field
 from .linalg import is_prime
 
 RatLike = Union[int, str, Fraction]
@@ -64,7 +64,7 @@ class AlgebraParams:
     def from_coord_strings(self, coords) -> "Quaternion":
         if not isinstance(coords, (list, tuple)) or len(coords) != 4:
             raise MalformedInput("quaternion coordinates must be a list of length 4")
-        return self.quat(*coords)
+        return self.quat(*(scalar_field(c, "quaternion coordinate") for c in coords))
 
     def to_dict(self) -> dict:
         return {"a": self.a, "p": self.p}
@@ -72,7 +72,7 @@ class AlgebraParams:
     @classmethod
     def from_dict(cls, data: dict) -> "AlgebraParams":
         require_fields(data, ("a", "p"), "algebra")
-        return cls(int(data["a"]), int(data["p"]))
+        return cls(*(int(scalar_field(data[k], f"algebra field {k}")) for k in "ap"))
 
 
 @dataclass(frozen=True)

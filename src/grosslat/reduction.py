@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import floor
+
+from .linalg import det_fractions
 
 
 def _inner(gram, u, v) -> Fraction:
@@ -34,35 +37,27 @@ def _sub(u, v, c):
     return [a - c * b for a, b in zip(u, v)]
 
 
-def _solve2(a11, a12, a22, b1, b2):
-    det = a11 * a22 - a12 * a12
-    return ((b1 * a22 - b2 * a12) / det, (b2 * a11 - b1 * a12) / det)
-
-
 def _closest_coeffs(gram, head, target):
-    """Integer coefficients of a closest vector to target in span(head), |head| <= 2."""
-    if len(head) == 1:
-        u = _inner(gram, target, head[0]) / _norm(gram, head[0])
-        base = int(u.__floor__())
-        best = None
-        for c in range(base - 2, base + 3):
-            diff = _sub(target, head[0], c)
-            key = (_norm(gram, diff), (c,))
-            if best is None or key < best[0]:
-                best = (key, (c,))
-        return best[1]
-    u1, u2 = _solve2(
-        _norm(gram, head[0]), _inner(gram, head[0], head[1]), _norm(gram, head[1]),
-        _inner(gram, target, head[0]), _inner(gram, target, head[1]),
-    )
-    f1, f2 = int(u1.__floor__()), int(u2.__floor__())
-    best = None
-    for c1, c2 in product(range(f1 - 2, f1 + 3), range(f2 - 2, f2 + 3)):
-        diff = _sub(_sub(target, head[0], c1), head[1], c2)
-        key = (_norm(gram, diff), (c1, c2))
-        if best is None or key < best[0]:
-            best = (key, (c1, c2))
-    return best[1]
+    """Integer coefficients of a closest vector to target in span(head), |head| <= 2.
+
+    The exact real solution comes from Cramer's rule on the normal
+    equations; the +-2 window around its floor is scanned, ties going to
+    the smaller coefficient tuple.
+    """
+    normal = [[_inner(gram, u, v) for v in head] for u in head]
+    rhs = [_inner(gram, target, u) for u in head]
+    det = det_fractions(normal)
+    floors = [floor(det_fractions([row[:k] + [b] + row[k + 1:] for row, b in zip(normal, rhs)])
+                    / det)
+              for k in range(len(head))]
+
+    def key(coeffs):
+        diff = target
+        for c, h in zip(coeffs, head):
+            diff = _sub(diff, h, c)
+        return (_norm(gram, diff), coeffs)
+
+    return min(product(*(range(f - 2, f + 3) for f in floors)), key=key)
 
 
 def _sort_key(gram):

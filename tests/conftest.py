@@ -3,7 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from grosslat import AlgebraParams, load_fixture
+from grosslat import AlgebraParams, extend_to_maximal, load_fixture, order_from_pair
+
+# (a, p, c1, c2): saturate the order generated by c1*i and c2*j.  -a is a
+# non-square mod p, with one or two p per residue class: 3 mod 4 (7, 23),
+# 5 mod 8 (5, 13, 29) and 1 mod 8 (17, where (17/3) = -1).
+SATURATED_CASES = [
+    (2, 5, 1, 1), (1, 7, 2, 1), (2, 13, 1, 2),
+    (3, 17, 1, 1), (1, 23, 1, 3), (2, 29, 2, 1),
+]
+
+
+def saturated_order(a, p, c1, c2):
+    algebra = AlgebraParams(a, p)
+    return extend_to_maximal(order_from_pair(c1 * algebra.i, c2 * algebra.j))
 
 
 @pytest.fixture(scope="session")

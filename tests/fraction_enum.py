@@ -4,13 +4,34 @@
 solves it the older way: an exact rational LDL^T of the Gram matrix,
 centred coordinate ranges for z and y, and a rational square root for x.
 It yields the same triples in the same order (|z|, then |y|, then |x|,
-positive sign first) and is many times slower.
+positive sign first) and is many times slower.  The LDL^T is also the
+oracle for `forms.diagonalize_form` and for the definiteness tests.
 """
 
 from fractions import Fraction
 from math import isqrt
 
-from grosslat.linalg import ldl
+
+def ldl(matrix) -> tuple[list[list[Fraction]], list[Fraction]] | None:
+    """Exact LDL^T of a symmetric matrix, or None unless it is positive definite.
+
+    Returns (L, d) with L unit lower-triangular and matrix = L diag(d) L^T;
+    each d_k is a ratio of consecutive leading minors (Sylvester's criterion).
+    """
+    n = len(matrix)
+    low = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    diag: list[Fraction] = []
+    for i in range(n):
+        scaled = [Fraction(matrix[i][j]) for j in range(i + 1)]  # ends as low[i][j] * diag[j]
+        for j in range(i + 1):
+            for k in range(j):
+                scaled[j] -= scaled[k] * low[j][k]
+            if j < i:
+                low[i][j] = scaled[j] / diag[j]
+        if scaled[i] <= 0:
+            return None
+        diag.append(scaled[i])
+    return low, diag
 
 
 def _centered_range(shift: Fraction, bound: Fraction) -> list[int]:

@@ -127,6 +127,47 @@ class TestMalformedInput:
         self.assert_refused(capsys, "verify-order", "--config", str(path),
                             mentions="order_basis")
 
+    def assert_form_refused(self, capsys, value):
+        form = {"A": 1, "B": 1, "C": 4, "D": -1, "E": -1, "F": 1}
+        form["A"] = value
+        self.assert_refused(capsys, "represents", "--form", json.dumps(form), "--ell", "3",
+                            mentions="form field A")
+
+    def test_form_null_coefficient(self, capsys):
+        self.assert_form_refused(capsys, None)
+
+    def test_form_list_coefficient(self, capsys):
+        self.assert_form_refused(capsys, [1])
+
+    def test_form_float_coefficient(self, capsys):
+        self.assert_form_refused(capsys, 1.5)
+
+    def assert_fixture_refused(self, capsys, tmp_path, fixture_p11, edit, mentions):
+        data = fixture_p11.to_dict()
+        edit(data)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(data), "utf-8")
+        self.assert_refused(capsys, "verify-order", "--config", str(path), mentions=mentions)
+
+    def test_fixture_float_prime(self, capsys, tmp_path, fixture_p11):
+        self.assert_fixture_refused(capsys, tmp_path, fixture_p11,
+                                    lambda d: d["algebra"].update(p=11.0),
+                                    mentions="algebra field p")
+
+    def test_fixture_float_ell(self, capsys, tmp_path, fixture_p11):
+        self.assert_fixture_refused(capsys, tmp_path, fixture_p11,
+                                    lambda d: d.update(ell=2.7), mentions="fixture field ell")
+
+    def test_element_null_coordinate(self, capsys):
+        self.assert_refused(capsys, "correspond", "to-sublattice", "--case", "p11",
+                            "--element", '[null, 0, 0, 0]', mentions="quaternion coordinate")
+
+    def test_element_float_coordinate(self, capsys):
+        # -0.5 is exact in binary, so only the refusal keeps floats out
+        self.assert_refused(capsys, "correspond", "to-sublattice", "--case", "p11",
+                            "--element", '["0", "0", -0.5, -0.5]',
+                            mentions="quaternion coordinate")
+
 
 class TestEquivalence:
     def test_small_table(self, capsys):

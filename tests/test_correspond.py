@@ -5,7 +5,9 @@ from math import isqrt
 import pytest
 
 from grosslat import (
+    TernaryForm,
     endo_to_sublattice,
+    inner,
     pair_determinant,
     plucker_lift,
     search_elements,
@@ -13,7 +15,10 @@ from grosslat import (
     trace_zero_commutator_basis,
 )
 from grosslat.errors import DegeneratePair, MembershipError, NormError, TraceError
+from grosslat.forms import representations
 from grosslat.linalg import det_fractions
+
+from conftest import SATURATED_CASES, saturated_order
 
 F = Fraction
 
@@ -179,3 +184,51 @@ class TestSearchElements:
         assert search_elements(order_p11, 7, 3) == []
         # odd trace cannot come from the scalar branch
         assert search_elements(order_p11, 3, 2) == []
+
+
+def half_lifts(order, trace, norm):
+    """Every (trace + g)/2 for g in the Gross lattice with Nrd(g) = 4*norm - trace^2."""
+    target = 4 * norm - trace * trace
+    if norm < 0 or target < 0:
+        return []
+    if target == 0:
+        return [order.algebra.scalar(F(trace, 2))]
+    b = order.gross_basis()
+    form = TernaryForm.from_gram([[inner(u, v) for v in b] for u in b])
+    return [(trace + c1 * b[0] + c2 * b[1] + c3 * b[2]) / 2
+            for c1, c2, c3 in representations(form, target)]
+
+
+@pytest.fixture(scope="module")
+def saturated_orders():
+    return [saturated_order(*case) for case in SATURATED_CASES]
+
+
+class TestSearchMatchesMembershipOracle:
+    """search_elements (parity, no membership query) equals the order.contains filter.
+
+    The filter never rejects: Nrd(g) = 4*norm - trace^2 already puts every
+    half-lift in the order, which is why the parity check in search_elements
+    is a consistency check and not a filter.
+    """
+
+    def assert_matches(self, order):
+        p = order.algebra.p
+        for trace in (0, 1, 2, p):
+            least = (trace * trace + 3) // 4
+            found = 0
+            for norm in range(least, least + 2 * p + 10):
+                lifts = half_lifts(order, trace, norm)
+                expected = sorted((x for x in lifts if order.contains(x)), key=lambda q: q.coords)
+                assert search_elements(order, trace, norm) == expected, (p, trace, norm)
+                assert len(expected) == len(lifts), (p, trace, norm)
+                found += len(expected)
+            assert found, (p, trace)
+
+    def test_fixture_orders(self, order_p11, order_p19, order_p31):
+        for order in (order_p11, order_p19, order_p31):
+            self.assert_matches(order)
+
+    def test_saturated_orders(self, saturated_orders):
+        for order in saturated_orders:
+            self.assert_matches(order)

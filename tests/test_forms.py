@@ -17,7 +17,7 @@ from grosslat.errors import DefinitenessError, IntegralityError
 from grosslat.forms import representations
 from grosslat.lattice import GramMatrix
 
-from fraction_enum import counts_by_value, enumerate_gram_solutions
+from fraction_enum import counts_by_value, enumerate_gram_solutions, ldl
 
 F = Fraction
 
@@ -142,6 +142,14 @@ class TestDiagonalize:
     def test_rejects_indefinite(self):
         with pytest.raises(DefinitenessError):
             diagonalize_form(TernaryForm(1, -1, 1, 0, 0, 0))
+
+    def test_matches_rational_ldl(self):
+        rng = random.Random(602)  # the forms of test_round_trip_randomized
+        for form in [random_definite_form(rng) for _ in range(25)] + [Q11, Q31, Q19]:
+            low, diag = ldl(form.gram())
+            data = diagonalize_form(form)
+            assert data.diagonal == tuple(diag)
+            assert (data.r12, data.r13, data.r23) == (low[1][0], low[2][0], low[2][1])
 
 
 class TestRepresents:

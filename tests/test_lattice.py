@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from grosslat import GramMatrix, Lattice
+from grosslat import GramMatrix, Lattice, TernaryForm
 from grosslat.errors import AlgebraMismatch, ContainmentError, EmptyLatticeInput, RankError
-from grosslat.linalg import det_int, rational_rank, solve_left
+from grosslat.linalg import det_int, solve_left
 
 from conftest import random_quat
+from fraction_enum import ldl
 
 F = Fraction
 
@@ -110,6 +111,29 @@ class TestMembership:
         lat = Lattice.from_generators(alg11, [alg11.i])
         with pytest.raises(AlgebraMismatch):
             lat.contains(alg19.i)
+
+
+def rational_rank(rows) -> int:
+    """Rank over Q by exact Gaussian elimination."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    ncols = len(work[0]) if work else 0
+    for col in range(ncols):
+        sel = None
+        for i in range(rank, len(work)):
+            if work[i][col] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        work[rank], work[sel] = work[sel], work[rank]
+        piv = work[rank][col]
+        for i in range(rank + 1, len(work)):
+            if work[i][col] != 0:
+                f = work[i][col] / piv
+                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return rank
 
 
 def random_lattice(rng, algebra, rank):
@@ -255,7 +279,7 @@ class TestGramAndDet:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_ldl_agrees_with_leading_minors(self, n):
-        from grosslat.linalg import det_fractions, ldl
+        from grosslat.linalg import det_fractions
 
         rng = random.Random(205 + n)
         matrices = []
@@ -277,6 +301,8 @@ class TestGramAndDet:
             assert (factors is not None) == sylvester, m
             assert GramMatrix(tuple(tuple(F(x) for x in row) for row in m)) \
                 .is_positive_definite() == sylvester
+            if n == 3:
+                assert TernaryForm.from_gram(m).is_positive_definite() == sylvester
             if factors is None:
                 continue
             definite += 1
@@ -343,7 +369,7 @@ class TestMinkowskiReduce:
         from itertools import product
         from math import isqrt
 
-        from grosslat.linalg import det_fractions, rational_rank
+        from grosslat.linalg import det_fractions
 
         def brute_minima(lat):
             gram = [list(r) for r in lat.gram().entries]

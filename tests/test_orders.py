@@ -18,6 +18,7 @@ from grosslat.errors import IntegralityError, LiftError, NotAnOrder, NotMaximal,
 from grosslat.linalg import det_fractions
 from grosslat.orders import Order
 
+from conftest import SATURATED_CASES, saturated_order
 from norm_scan import norm_p_ideal_by_scan
 
 F = Fraction
@@ -211,15 +212,9 @@ class TestNormPIdeal:
             ideal = order.norm_p_ideal()
             assert ideal == norm_p_ideal_by_scan(order) == commutator_basis(order)
 
-    # (a, p) with -a a non-square mod p, one or two per residue class of p:
-    # 3 mod 4 (7, 23), 5 mod 8 (5, 13, 29) and 1 mod 8 (17, where (17/3) = -1).
-    @pytest.mark.parametrize("a, p, c1, c2", [
-        (2, 5, 1, 1), (1, 7, 2, 1), (2, 13, 1, 2),
-        (3, 17, 1, 1), (1, 23, 1, 3), (2, 29, 2, 1),
-    ])
+    @pytest.mark.parametrize("a, p, c1, c2", SATURATED_CASES)
     def test_matches_scan_on_saturated_orders(self, a, p, c1, c2):
-        algebra = AlgebraParams(a, p)
-        order = extend_to_maximal(order_from_pair(c1 * algebra.i, c2 * algebra.j))
+        order = saturated_order(a, p, c1, c2)
         ideal = order.norm_p_ideal()
         assert ideal == norm_p_ideal_by_scan(order) == commutator_basis(order)
         assert ideal.index_in(order.lattice) == p * p
