@@ -3,6 +3,12 @@
 Verbs: verify-order, reproduce, correspond, equivalence, represents,
 search-endo.  Reports are JSON with a stable key order (or --format text);
 the exit status is 0 iff every check passed.
+
+The size arguments are capped (LIMITS): --ell and --norm at 10^6 and
+--ell-max at 500, far above the paper's tables (ell <= 50).  Enumeration
+time grows with them: at the caps, on a 2-vCPU machine, `represents` on
+x^2 + y^2 + z^2 takes about 7 s and an equivalence table on p31 about 4 s.
+A larger value is refused with LimitExceeded before any work starts.
 """
 
 from __future__ import annotations
@@ -12,10 +18,21 @@ import json
 import sys
 
 from .correspond import endo_to_sublattice, pair_determinant, search_elements, sublattice_to_endo
-from .errors import MalformedInput
+from .errors import LimitExceeded, MalformedInput
 from .fixtures import BUILTIN_CASES, FixtureConfig, load_fixture
 from .forms import TernaryForm, order_form, represents
 from .quat import rat_str
+
+
+LIMITS = {"ell": 10**6, "norm": 10**6, "ell_max": 500}
+
+
+def _check_limits(args) -> None:
+    for name, cap in LIMITS.items():
+        value = getattr(args, name, None)
+        if value is not None and value > cap:
+            flag = "--" + name.replace("_", "-")
+            raise LimitExceeded(f"{flag} must be at most {cap}, got {value}")
 
 
 def _check(name: str, expected, actual) -> dict:
@@ -223,19 +240,22 @@ def build_parser() -> argparse.ArgumentParser:
                         help="existence-vs-representation table")
     sp.add_argument("--config", help="fixture JSON path")
     sp.add_argument("--case", choices=sorted(BUILTIN_CASES))
-    sp.add_argument("--ell-max", type=int, required=True)
+    sp.add_argument("--ell-max", type=int, required=True,
+                    help=f"last row of the table, 1 to {LIMITS['ell_max']}")
 
     sp = sub.add_parser("represents", parents=[common],
                         help="test representation of an integer by a form")
     sp.add_argument("--form", required=True, help='JSON like {"A":1,...,"F":1}')
-    sp.add_argument("--ell", type=int, required=True)
+    sp.add_argument("--ell", type=int, required=True,
+                    help=f"the integer to represent, at most {LIMITS['ell']}")
 
     sp = sub.add_parser("search-endo", parents=[common],
                         help="enumerate order elements by trace and norm")
     sp.add_argument("--config", help="fixture JSON path")
     sp.add_argument("--case", choices=sorted(BUILTIN_CASES))
     sp.add_argument("--trace", type=int, required=True)
-    sp.add_argument("--norm", type=int, required=True)
+    sp.add_argument("--norm", type=int, required=True,
+                    help=f"reduced norm, at most {LIMITS['norm']}")
 
     return parser
 
@@ -244,6 +264,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_limits(args)
         if args.verb == "verify-order":
             report, ok = cmd_verify_order(_load_config(args))
         elif args.verb == "reproduce":

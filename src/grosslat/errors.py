@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the input checks that raise one."""
 
+from fractions import Fraction
+
 
 class MalformedInput(ValueError):
     """Outside input (a JSON payload or fixture file) is missing a field or has the wrong shape."""
@@ -24,6 +26,27 @@ def scalar_field(value, what: str):
     if value is None or isinstance(value, (bool, float, list, dict)):
         raise MalformedInput(f"{what} must be an integer or a string, got {value!r}")
     return value
+
+
+def rational_field(value, what: str) -> Fraction:
+    """The exact rational of an integer or a string such as "-1/2".
+
+    Anything scalar_field refuses, a string that is not a rational and a
+    zero denominator ("1/0") raise MalformedInput.
+    """
+    value = scalar_field(value, what)
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise MalformedInput(f"{what} must be a rational number, got {value!r}") from None
+
+
+class LimitExceeded(ValueError):
+    """A size argument is above its documented cap; refused before any work starts."""
+
+
+class RamificationError(ValueError):
+    """The algebra (-a, -p | Q) is not ramified exactly at {p, infinity}."""
 
 
 class AlgebraMismatch(ValueError):

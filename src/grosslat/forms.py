@@ -170,8 +170,9 @@ def _columns(form: TernaryForm, bound: int):
 
     For every integer x, Q(x, y, z) <= bound iff (2Ax + Dy + Ez)^2 <= room,
     with equality iff Q(x, y, z) = bound, so every vector with Q <= bound
-    lies over a yielded pair.  z runs by (|z|, sign), positive first; y
-    ascends.  Raises DefinitenessError unless A, P and Delta are positive.
+    lies over a yielded pair.  z runs 0, 1, -1, 2, -2, ..., generated
+    lazily; y ascends.  Raises DefinitenessError unless A, P and Delta are
+    positive.
     """
     if not form.is_positive_definite():
         raise DefinitenessError("form is not positive definite")
@@ -181,7 +182,8 @@ def _columns(form: TernaryForm, bound: int):
         return
     top = 4 * a * p * bound
     z_max = isqrt(top // delta)
-    for z in sorted(range(-z_max, z_max + 1), key=lambda c: (abs(c), c < 0)):
+    for k in range(2 * z_max + 1):
+        z = (k + 1) // 2 if k % 2 else -(k // 2)
         rest = top - delta * z * z
         s = isqrt(rest)
         rz = r * z

@@ -13,6 +13,13 @@ its basis with denominators cleared (the whole basis in rank 4, the first
 nonsingular choice of r columns below).  Coordinates of x are then one
 integer vector-matrix product and an exact division; a candidate is
 accepted only after re-multiplying by the basis reproduces x exactly.
+
+Closure and the determinant use the same cleared rows s * b_i.  The
+product of two rows is an integer vector m with b_i * b_j = m / s^2, so
+`products_outside` tests all r^2 products with the cached adjugate and
+builds a quaternion only for a product outside the lattice.  `det` is
+det(S) / s^(2r) for the integer Gram S of the rows under the norm form
+(1, a, p, ap).
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .errors import (
 )
 from .linalg import adjugate, det_fractions, det_int, hnf_rows
 from .linalg import solve_left  # noqa: F401  (perfbench's tracer patches it in this namespace)
-from .quat import AlgebraParams, Quaternion, gross_map, inner, rat_str
+from .quat import AlgebraParams, Quaternion, gross_map, inner, mul_coords, rat_str
 from .reduction import greedy_reduce
 
 
@@ -52,11 +59,6 @@ class GramMatrix:
     @property
     def diagonal(self) -> tuple[Fraction, ...]:
         return tuple(self.entries[i][i] for i in range(self.size))
-
-    def det(self) -> Fraction:
-        if self.size == 0:
-            return Fraction(1)
-        return det_fractions([list(r) for r in self.entries])
 
     def is_positive_definite(self) -> bool:
         """Sylvester's criterion: every leading principal minor is positive."""
@@ -138,11 +140,14 @@ class Lattice:
             raise AlgebraMismatch("element from a different algebra")
         if self.rank == 0:
             return () if not x else None
-        scale, rows, cols, adj, det = self._integer_inverse()
-        # x = num / den; the coordinates c solve c * rows = scale * x.
         coords = x.coords
         den = lcm(*(c.denominator for c in coords))
-        num = [c.numerator * (den // c.denominator) for c in coords]
+        return self._cleared_coords([c.numerator * (den // c.denominator) for c in coords], den)
+
+    def _cleared_coords(self, num, den: int) -> tuple[int, ...] | None:
+        """Integer coordinates of num / den for an integer vector num, or None."""
+        scale, rows, cols, adj, det = self._integer_inverse()
+        # the coordinates c solve c * rows = scale * num / den
         picked = [scale * num[j] for j in cols]
         div = den * det
         sol = []
@@ -160,9 +165,7 @@ class Lattice:
         """(scale, rows, cols, adj, det): rows = scale * basis is integral and
         adj * rows[:, cols] = det * identity with det != 0; computed once."""
         if self._inverse is None:
-            coords = [q.coords for q in self.basis]
-            scale = lcm(*(c.denominator for row in coords for c in row))
-            rows = [[c.numerator * (scale // c.denominator) for c in row] for row in coords]
+            scale, rows = cleared_rows(self.basis)
             for cols in combinations(range(4), self.rank):
                 minor = [[row[j] for j in cols] for row in rows]
                 det = det_int(minor)
@@ -174,14 +177,36 @@ class Lattice:
     def contains(self, x: Quaternion) -> bool:
         return self.coords_of(x) is not None
 
+    def products_outside(self):
+        """Yield each product u * v of basis vectors that is not in the lattice.
+
+        u runs over the basis in the outer loop, v in the inner one.  The
+        products are taken of the cleared integer rows and tested with the
+        membership adjugate; only a product outside becomes a quaternion.
+        The lattice is closed under multiplication iff nothing is yielded.
+        """
+        scale, rows = self._integer_inverse()[:2]
+        a, p = self.algebra.a, self.algebra.p
+        den = scale * scale
+        for u in rows:
+            for v in rows:
+                m = mul_coords(a, p, u, v)
+                if self._cleared_coords(m, den) is None:
+                    yield self.algebra.quat(*(Fraction(c, den) for c in m))
+
     # -- invariants ----------------------------------------------------------
 
     def gram(self) -> GramMatrix:
         return GramMatrix.from_quaternions(self.basis)
 
     def det(self) -> Fraction:
-        """Gram determinant; invariant under unimodular basis change."""
-        return self.gram().det()
+        """Gram determinant; invariant under unimodular basis change.
+
+        Computed in integers: det(S) / s^(2r) for the cleared rows s * b_i
+        and their integer Gram S.
+        """
+        scale, rows = cleared_rows(self.basis)
+        return Fraction(det_int(integer_gram(self.algebra, rows)), scale ** (2 * self.rank))
 
     def index_in(self, sup: "Lattice") -> int:
         """Index [sup : self] for a finite-index sublattice of equal rank."""
@@ -263,9 +288,27 @@ def _canonical_sign(q: Quaternion) -> Quaternion:
     return q
 
 
+def cleared_rows(quaternions) -> tuple[int, list[list[int]]]:
+    """(s, rows): s is the lcm of all coordinate denominators and rows[i] =
+    s * coords(quaternions[i]) is integral."""
+    coords = [q.coords for q in quaternions]
+    scale = lcm(*(c.denominator for row in coords for c in row))
+    return scale, [[c.numerator * (scale // c.denominator) for c in row] for row in coords]
+
+
+def integer_gram(algebra: AlgebraParams, rows) -> list[list[int]]:
+    """Gram matrix of integer rows under the norm form (1, a, p, ap).
+
+    For rows = s * coords(b_i) it is s^2 times the Gram matrix of inner
+    products (1/2) Trd(b_i * conj(b_j)).
+    """
+    weights = (1, algebra.a, algebra.p, algebra.a * algebra.p)
+    weighted = [[n * c for n, c in zip(weights, row)] for row in rows]
+    return [[sum(x * y for x, y in zip(wu, v)) for v in rows] for wu in weighted]
+
+
 def _canonical_basis(algebra: AlgebraParams, generators) -> tuple[Quaternion, ...]:
-    scale = lcm(*(c.denominator for q in generators for c in q.coords))
-    rows = [[int(c * scale) for c in q.coords] for q in generators]
+    scale, rows = cleared_rows(generators)
     hnf = hnf_rows(rows)
     return tuple(
         algebra.quat(*(Fraction(e, scale) for e in row)) for row in hnf

@@ -1,9 +1,10 @@
 """Exact integer and rational linear algebra for small (rank <= 4) problems.
 
 Integer routines carry the package: Hermite normal form, and the
-determinant and adjugate behind membership and the trace dual.  Two
-rational routines remain.  `det_fractions` gives Gram determinants, their
-leading minors (Sylvester's criterion) and Cramer's rule in reduction.
+determinant and adjugate behind membership, lattice and trace-form
+determinants and the trace dual.  Two rational routines remain.
+`det_fractions` gives the leading minors of a Gram matrix (Sylvester's
+criterion) and Cramer's rule in reduction.
 `solve_left` has no caller in the package: the tests use it as an
 independent oracle for integer membership, and the benchmark's tracer
 (`perfbench`) imports and patches it under this name.

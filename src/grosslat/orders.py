@@ -1,10 +1,17 @@
 """Orders in the definite quaternion algebra.
 
 An order is a rank-4 lattice containing 1, closed under multiplication,
-whose elements are all integral.  A maximal order has reduced discriminant
-exactly p; non-maximal orders are enlarged by scanning cosets of (1/q)O
-for integral elements whose adjunction shrinks the discriminant.  The ideal
-of elements with norm divisible by p is p times the trace dual of O.
+whose elements are all integral.  Every invariant below comes from one
+integer matrix, the trace Gram T_ij = Trd(b_i * conj(b_j)) of the
+canonical basis.  The reduced discriminant is isqrt(det T), and a maximal
+order has reduced discriminant exactly p.  The ideal of elements with norm
+divisible by p is p times the trace dual of O.
+
+A non-maximal order is enlarged by scanning the cosets of (1/q)O over O
+for integral elements whose adjunction shrinks the discriminant.  For
+y = sum c_i b_i, the element y/q is integral iff q | sum c_i Trd(b_i) and
+2q^2 | c^T T c, since Trd(y) = sum c_i Trd(b_i) and 2 Nrd(y) = c^T T c;
+a quaternion is built only for a coset that passes this test.
 """
 
 from __future__ import annotations
@@ -22,15 +29,15 @@ from .errors import (
     RankError,
     SaturationError,
 )
-from .lattice import Lattice
+from .lattice import Lattice, cleared_rows, integer_gram
 from .linalg import adjugate, det_int, smallest_prime_factor
-from .quat import AlgebraParams, Quaternion, gross_map, inner
+from .quat import AlgebraParams, Quaternion, gross_map
 
 
 class Order:
     """A verified order; construction raises NotAnOrder when the axioms fail."""
 
-    __slots__ = ("lattice", "_discriminant", "_gross_lattice")
+    __slots__ = ("lattice", "_trace_gram", "_discriminant", "_gross_lattice")
 
     def __init__(self, lattice: Lattice):
         if lattice.rank != 4:
@@ -40,11 +47,11 @@ class Order:
         for b in lattice.basis:
             if not b.is_integral():
                 raise NotAnOrder(f"basis element {b} is not integral")
-        for u in lattice.basis:
-            for v in lattice.basis:
-                if not lattice.contains(u * v):
-                    raise NotAnOrder(f"not closed under multiplication: {u} * {v}")
+        outside = next(lattice.products_outside(), None)
+        if outside is not None:
+            raise NotAnOrder(f"not closed under multiplication: {outside} is outside")
         self.lattice = lattice
+        self._trace_gram: list[list[int]] | None = None
         self._discriminant: int | None = None
         self._gross_lattice: Lattice | None = None
 
@@ -68,13 +75,25 @@ class Order:
 
     # -- discriminant and maximality -------------------------------------
 
+    def trace_gram(self) -> list[list[int]]:
+        """The integer matrix T_ij = Trd(b_i * conj(b_j)) of the canonical basis.
+
+        With rows = s * b_i cleared of denominators, T = 2 S / s^2 for their
+        integer Gram S.  Computed once per order.
+        """
+        if self._trace_gram is None:
+            scale, rows = cleared_rows(self.lattice.canonical_basis)
+            den = scale * scale
+            doubled = [[2 * g for g in row] for row in integer_gram(self.algebra, rows)]
+            if any(g % den for row in doubled for g in row):
+                raise AlgebraInconsistency("trace form of the order is not integral")
+            self._trace_gram = [[g // den for g in row] for row in doubled]
+        return self._trace_gram
+
     def reduced_discriminant(self) -> int:
-        """Square root of |det Trd(b_i * conj(b_j))|; equals p iff maximal."""
+        """Square root of det Trd(b_i * conj(b_j)); equals p iff maximal."""
         if self._discriminant is None:
-            d = 16 * self.lattice.det()
-            if d.denominator != 1:
-                raise AlgebraInconsistency("trace form determinant is not an integer")
-            n = int(d)
+            n = det_int(self.trace_gram())
             r = isqrt(n)
             if r * r != n:
                 raise AlgebraInconsistency("trace form determinant is not a square")
@@ -121,10 +140,7 @@ class Order:
         if not self.is_maximal():
             raise NotMaximal("the norm-p ideal requires a maximal order")
         basis = self.lattice.canonical_basis
-        traces = [[2 * inner(u, v) for v in basis] for u in basis]
-        if any(t.denominator != 1 for row in traces for t in row):
-            raise AlgebraInconsistency("trace form of the order is not integral")
-        trace_gram = [[t.numerator for t in row] for row in traces]
+        trace_gram = self.trace_gram()
         det = det_int(trace_gram)
         generators = []
         for row in adjugate(trace_gram):
@@ -204,10 +220,13 @@ def lift_gross_basis(b1: Quaternion, b2: Quaternion, b3: Quaternion) -> Order:
 def extend_to_maximal(order: Order) -> Order:
     """Enlarge an order until its reduced discriminant equals p.
 
-    For each prime q dividing the discriminant cofactor, the q^4 cosets of
-    (1/q)O over O are scanned for an integral element whose adjunction
-    (closed under multiplication, iterated to stability) strictly shrinks
-    the discriminant.
+    For each prime q dividing the discriminant cofactor, the q^4 cosets
+    y = sum c_i b_i, 0 <= c_i < q, of qO in O are visited in
+    `product(range(q), repeat=4)` order over the canonical basis.  A coset
+    is kept when y/q is integral, that is when q | sum c_i Trd(b_i) and
+    2q^2 | c^T T c for the trace Gram T; the first kept y/q whose
+    adjunction (closed under multiplication, iterated to stability)
+    strictly shrinks the discriminant is taken.
     """
     p = order.algebra.p
     current = order
@@ -227,17 +246,8 @@ def extend_to_maximal(order: Order) -> Order:
 
 
 def _enlarge_once(order: Order, q: int) -> Order | None:
-    basis = order.lattice.canonical_basis
     disc = order.reduced_discriminant()
-    for coeffs in product(range(q), repeat=4):
-        if not any(coeffs):
-            continue
-        x = order.algebra.quat()
-        for c, b in zip(coeffs, basis):
-            x = x + c * b
-        x = x / q
-        if not x.is_integral():
-            continue
+    for x in _integral_cosets(order, q):
         closed = _adjoin(order, x)
         if closed is None:
             continue
@@ -247,15 +257,41 @@ def _enlarge_once(order: Order, q: int) -> Order | None:
     return None
 
 
+def _integral_cosets(order: Order, q: int):
+    """Yield y/q for each nonzero y = sum c_i b_i, 0 <= c_i < q, with y/q integral.
+
+    The c run in `product(range(q), repeat=4)` order over the canonical
+    basis.  Trd(y) = sum c_i Trd(b_i) and 2 Nrd(y) = c^T T c for the trace
+    Gram T, so y/q is integral iff q divides the first and 2q^2 the second;
+    a quaternion is built only for a coset that passes.
+    """
+    basis = order.lattice.canonical_basis
+    gram = order.trace_gram()
+    traces = [int(b.reduced_trace()) for b in basis]
+    two_q2 = 2 * q * q
+    for coeffs in product(range(q), repeat=4):
+        if not any(coeffs):
+            continue
+        if sum(c * t for c, t in zip(coeffs, traces)) % q:
+            continue
+        if sum(c * sum(g * d for g, d in zip(row, coeffs))
+               for c, row in zip(coeffs, gram)) % two_q2:
+            continue
+        yield sum((c * b for c, b in zip(coeffs, basis)), order.algebra.quat()) / q
+
+
 def _adjoin(order: Order, x: Quaternion) -> Lattice | None:
     """Smallest multiplicatively closed lattice containing O and x, or None.
 
-    Iterated closure; bails out when a basis element goes non-integral or the
-    covolume drops below that of a maximal order (det Gram < p^2 / 16).  Each
-    round adds a product outside the current lattice, so the new lattice
-    contains it with index >= 2 and det Gram falls by a factor >= 4: the
-    floor ends the loop after finitely many rounds.  A lattice returned here
-    contains 1, has an integral basis and is closed, so it is an order.
+    x is integral: the coset scan keeps y = sum c_i b_i only when
+    q | sum c_i Trd(b_i) and 2q^2 | c^T T c, which is exactly integrality of
+    x = y/q.  Iterated closure (`Lattice.products_outside`, in integers);
+    bails out when a basis element goes non-integral or the covolume drops
+    below that of a maximal order (det Gram < p^2 / 16).  Each round adds a
+    product outside the current lattice, so the new lattice contains it with
+    index >= 2 and det Gram falls by a factor >= 4: the floor ends the loop
+    after finitely many rounds.  A lattice returned here contains 1, has an
+    integral basis and is closed, so it is an order.
     """
     p = order.algebra.p
     floor_det = Fraction(p * p, 16)
@@ -265,13 +301,7 @@ def _adjoin(order: Order, x: Quaternion) -> Lattice | None:
             return None
         if not all(b.is_integral() for b in current.basis):
             return None
-        basis = current.basis
-        new_products = []
-        for u in basis:
-            for v in basis:
-                prod = u * v
-                if not current.contains(prod):
-                    new_products.append(prod)
+        new_products = list(current.products_outside())
         if not new_products:
             return current
-        current = Lattice.from_generators(order.algebra, [*basis, *new_products])
+        current = Lattice.from_generators(order.algebra, [*current.basis, *new_products])

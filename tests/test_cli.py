@@ -169,6 +169,35 @@ class TestMalformedInput:
                             mentions="quaternion coordinate")
 
 
+    def test_element_zero_denominator(self, capsys):
+        self.assert_refused(capsys, "correspond", "to-sublattice", "--case", "p11",
+                            "--element", '["1/0", "0", "0", "0"]',
+                            mentions="quaternion coordinate")
+
+    def test_fixture_algebra_not_ramified_at_p(self, capsys, tmp_path, fixture_p11):
+        self.assert_fixture_refused(capsys, tmp_path, fixture_p11,
+                                    lambda d: d["algebra"].update(a=1, p=5),
+                                    mentions="not exactly at {5, infinity}")
+
+
+class TestLimits:
+    """Size arguments above their caps are refused before any work starts."""
+
+    @pytest.mark.parametrize("argv, mentions", [
+        (["represents", "--form", '{"A":1,"B":1,"C":1,"D":0,"E":0,"F":0}',
+          "--ell", "100000000000000000000"], "--ell must be at most 1000000"),
+        (["search-endo", "--case", "p11", "--trace", "0", "--norm", "1000001"],
+         "--norm must be at most 1000000"),
+        (["equivalence", "--case", "p11", "--ell-max", "501"],
+         "--ell-max must be at most 500"),
+    ])
+    def test_refused(self, capsys, argv, mentions):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert mentions in json.loads(err)["error"]
+
+
 class TestEquivalence:
     def test_small_table(self, capsys):
         code, out, _ = run_cli(capsys, "equivalence", "--case", "p11", "--ell-max", "12")

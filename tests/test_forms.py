@@ -14,7 +14,7 @@ from grosslat import (
     represents,
 )
 from grosslat.errors import DefinitenessError, IntegralityError
-from grosslat.forms import representations
+from grosslat.forms import _columns, representations
 from grosslat.lattice import GramMatrix
 
 from fraction_enum import counts_by_value, enumerate_gram_solutions, ldl
@@ -230,6 +230,17 @@ class TestKernelMatchesFractionOracle:
             for n in range(41):
                 assert_same_sequence(form, n)
             assert representation_counts(form, 40) == counts_by_value(form.gram(), 40)
+
+    def test_columns_start_without_materializing_z(self):
+        # z_max is about 10^20 here; the z order 0, 1, -1, ... comes lazily
+        y, z, room = next(_columns(TernaryForm(1, 1, 1, 0, 0, 0), 10**40))
+        assert z == 0 and room >= 0
+        seen = []
+        for _, z, _ in _columns(Q11, 60):
+            if z not in seen:
+                seen.append(z)
+        assert seen == sorted(seen, key=lambda c: (abs(c), c < 0))
+        assert len(seen) == 2 * max(seen) + 1 > 3
 
     def test_edge_inputs(self):
         assert representation_counts(Q11, 0) == [1]

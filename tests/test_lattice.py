@@ -5,7 +5,7 @@ import pytest
 
 from grosslat import GramMatrix, Lattice, TernaryForm
 from grosslat.errors import AlgebraMismatch, ContainmentError, EmptyLatticeInput, RankError
-from grosslat.linalg import det_int, solve_left
+from grosslat.linalg import det_fractions, det_int, solve_left
 
 from conftest import random_quat
 from fraction_enum import ldl
@@ -219,6 +219,37 @@ class TestIntegerMembership:
         assert base._inverse is not doubled._inverse
         assert base._inverse[0] == 1 and doubled._inverse[0] == 1
         assert base._inverse[4] == 1 and doubled._inverse[4] == 16
+
+
+class TestIntegerClosureAndDet:
+    """products_outside and det (cleared integer rows) against Fraction
+    products with contains, and against det_fractions of the Gram matrix."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_random_lattices(self, alg11, rank):
+        rng = random.Random(230 + rank)
+        for _ in range(10):
+            lat = random_lattice(rng, alg11, rank)
+            expected = [u * v for u in lat.basis for v in lat.basis
+                        if not lat.contains(u * v)]
+            assert list(lat.products_outside()) == expected
+            assert lat.det() == det_fractions([list(r) for r in lat.gram().entries])
+
+    def test_orders_and_suborders(self, order_p11, order_p31, order_p19):
+        rng = random.Random(235)
+        mixed = 0
+        for order in (order_p11, order_p31, order_p19):
+            assert not list(order.lattice.products_outside())
+            for _ in range(4):
+                scales = [1] + [rng.choice((1, 2, 3)) for _ in range(3)]
+                sub = Lattice(order.algebra, [c * b for c, b in
+                                              zip(scales, order.lattice.basis)])
+                products = [u * v for u in sub.basis for v in sub.basis]
+                expected = [x for x in products if not sub.contains(x)]
+                assert list(sub.products_outside()) == expected
+                assert sub.det() == det_fractions([list(r) for r in sub.gram().entries])
+                mixed += 0 < len(expected) < len(products)
+        assert mixed > 0
 
 
 class TestIndex:

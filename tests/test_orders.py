@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 import pytest
@@ -14,12 +15,20 @@ from grosslat import (
     lift_gross_basis,
     order_from_pair,
 )
-from grosslat.errors import IntegralityError, LiftError, NotAnOrder, NotMaximal, RankError
-from grosslat.linalg import det_fractions
-from grosslat.orders import Order
+from grosslat.errors import (
+    IntegralityError,
+    LiftError,
+    NotAnOrder,
+    NotMaximal,
+    RamificationError,
+    RankError,
+)
+from grosslat.linalg import det_fractions, is_prime
+from grosslat.orders import Order, _integral_cosets
 
 from conftest import SATURATED_CASES, saturated_order
 from norm_scan import norm_p_ideal_by_scan
+from saturation_scan import discriminant_by_gram, integral_cosets_by_scan, saturate_by_scan
 
 F = Fraction
 
@@ -142,6 +151,69 @@ class TestExtendToMaximal:
     def test_standard_p19_lattice_saturates(self, alg19):
         maximal = extend_to_maximal(Order(standard_lattice(alg19)))
         assert maximal.reduced_discriminant() == 19
+
+
+def least_algebra(p):
+    """AlgebraParams(a, p) for the least a that ramifies exactly at {p, infinity}."""
+    a = 1
+    while True:
+        try:
+            return AlgebraParams(a, p)
+        except RamificationError:
+            a += 1
+
+
+def grid_seeds():
+    """Z<c1 i, c2 j> for every prime p <= 47, three seeded (c1, c2) in 1..6 each."""
+    rng = random.Random(505)
+    pairs = list(product(range(1, 7), repeat=2))
+    for p in (q for q in range(2, 48) if is_prime(q)):
+        algebra = least_algebra(p)
+        for c1, c2 in rng.sample(pairs, 3):
+            yield order_from_pair(c1 * algebra.i, c2 * algebra.j)
+
+
+class TestSaturationMatchesScanOracle:
+    """extend_to_maximal (integer coset test, integer closure) against the
+    Fraction coset scan of tests/saturation_scan.py: same maximal order,
+    basis for basis."""
+
+    @pytest.mark.parametrize("a, p, c1, c2", SATURATED_CASES)
+    def test_saturated_cases(self, a, p, c1, c2):
+        algebra = AlgebraParams(a, p)
+        seed = order_from_pair(c1 * algebra.i, c2 * algebra.j)
+        expected = saturate_by_scan(seed.lattice).canonical_basis
+        assert saturated_order(a, p, c1, c2).lattice.canonical_basis == expected
+
+    def test_p31_fixture_path(self, fixture_p31):
+        seed = order_from_pair(fixture_p31.alpha, 3 * fixture_p31.algebra.i)
+        expected = saturate_by_scan(seed.lattice).canonical_basis
+        assert extend_to_maximal(seed).lattice.canonical_basis == expected
+        assert expected == fixture_p31.order().lattice.canonical_basis
+
+    def test_seeded_grid(self):
+        for seed in grid_seeds():
+            maximal = extend_to_maximal(seed)
+            expected = saturate_by_scan(seed.lattice)
+            assert maximal.lattice.canonical_basis == expected.canonical_basis
+            assert maximal.reduced_discriminant() == discriminant_by_gram(expected) \
+                == seed.algebra.p
+
+    def test_integral_cosets(self, alg19, order_p11, order_p31, order_p19):
+        orders = [Order(standard_lattice(alg19)), order_p11, order_p31, order_p19]
+        orders += [seed for seed, _ in zip(grid_seeds(), range(12))]
+        for order in orders:
+            for q in (2, 3, 5):
+                assert list(_integral_cosets(order, q)) \
+                    == integral_cosets_by_scan(order.lattice, q)
+        # (j + k)/2 has norm 38/4: 2 Nrd = 76 is 0 mod q^2 but not mod 2q^2
+        assert (alg19.j + alg19.k) / 2 not in _integral_cosets(orders[0], 2)
+
+    def test_trace_gram(self, order_p11, order_p31, order_p19):
+        for order in (order_p11, order_p31, order_p19):
+            basis = order.lattice.canonical_basis
+            expected = [[(u * v.conjugate()).reduced_trace() for v in basis] for u in basis]
+            assert order.trace_gram() == expected
 
 
 class TestGrossBasisConversion:

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from grosslat import AlgebraParams, commutator, gross_map, inner
-from grosslat.errors import AlgebraMismatch
+from grosslat.errors import AlgebraMismatch, MalformedInput, RamificationError
+from grosslat.quat import ramified_places
 
-from conftest import random_quat
+from conftest import SATURATED_CASES, random_quat
 
 F = Fraction
 
@@ -162,6 +163,30 @@ class TestConstruction:
             AlgebraParams(0, 11)
         with pytest.raises(ValueError):
             AlgebraParams(1, 15)
+
+    def test_refuses_algebras_not_ramified_at_p(self):
+        # (-1, -5) and (-1, -13) split at p and ramify at 2 instead
+        for p in (5, 13):
+            assert ramified_places(1, p) == {0, 2}
+            with pytest.raises(RamificationError):
+                AlgebraParams(1, p)
+        assert ramified_places(1, 17) == {0, 2}
+        # primes dividing a can ramify too, by the product formula in pairs
+        assert ramified_places(3, 7) == {0, 3}
+        assert ramified_places(5, 13) == {0, 2, 5, 13}
+        # p | a: (-7, -7)_7 = (-1)^((7-1)/2) (-1/7)^2 = -1
+        assert ramified_places(7, 7) == {0, 7}
+        assert ramified_places(1, 2) == {0, 2}
+
+    def test_accepts_fixture_and_saturated_algebras(self):
+        for a, p in [(3, 11), (1, 31), (1, 19)] + [(a, p) for a, p, _, _ in SATURATED_CASES]:
+            assert ramified_places(a, p) == {0, p}
+            assert AlgebraParams(a, p).p == p
+
+    def test_coordinate_with_zero_denominator(self, alg11):
+        for bad in ("1/0", "0/0", "x"):
+            with pytest.raises(MalformedInput):
+                alg11.from_coord_strings([bad, "0", "0", "0"])
 
     def test_coord_strings_round_trip(self, alg11):
         q = alg11.quat(F(11, 2), F(11, 2))
