@@ -8,7 +8,9 @@ The size arguments are capped (LIMITS): --ell and --norm at 10^6 and
 --ell-max at 500, far above the paper's tables (ell <= 50).  Enumeration
 time grows with them: at the caps, on a 2-vCPU machine, `represents` on
 x^2 + y^2 + z^2 takes about 7 s and an equivalence table on p31 about 4 s.
-A larger value is refused with LimitExceeded before any work starts.
+A larger value is refused with LimitExceeded before any work starts, as is
+a fixture algebra with a > 10^12 or p above the proved range of the
+primality test (AlgebraParams).
 """
 
 from __future__ import annotations

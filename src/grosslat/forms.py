@@ -56,13 +56,12 @@ class TernaryForm:
 
     def gram(self) -> list[list[Fraction]]:
         """Half-integral Gram matrix of the form."""
+        return [[Fraction(v, 2) for v in row] for row in self.doubled_gram()]
+
+    def doubled_gram(self) -> list[list[int]]:
+        """Integer Gram matrix [[2A, D, E], [D, 2B, F], [E, F, 2C]] of 2Q."""
         a, b, c, d, e, f = self.coefficients()
-        h = Fraction(1, 2)
-        return [
-            [Fraction(a), h * d, h * e],
-            [h * d, Fraction(b), h * f],
-            [h * e, h * f, Fraction(c)],
-        ]
+        return [[2 * a, d, e], [d, 2 * b, f], [e, f, 2 * c]]
 
     def is_positive_definite(self) -> bool:
         p, _, delta = _completed_square(self)
@@ -73,8 +72,7 @@ class TernaryForm:
 
     def transformed(self, rows) -> "TernaryForm":
         """Form Q(v * U) for an integer substitution with rows U (new vars in rows)."""
-        a, b, c, d, e, f = self.coefficients()
-        m = ((2 * a, d, e), (d, 2 * b, f), (e, f, 2 * c))  # Gram matrix of 2Q
+        m = self.doubled_gram()
         um = [[sum(r[k] * m[k][l] for k in range(3)) for l in range(3)] for r in rows]
         return _form_from_doubled_gram(
             [[sum(u[l] * r[l] for l in range(3)) for r in rows] for u in um])
@@ -295,7 +293,7 @@ def canonical_reduced_form(form: TernaryForm) -> TernaryForm:
     """
     if not form.is_positive_definite():
         raise DefinitenessError("reduction needs a definite form")
-    reduced = form.transformed(greedy_reduce(form.gram()))
+    reduced = form.transformed(greedy_reduce(form.doubled_gram()))
     minima = (reduced.a, reduced.b, reduced.c)
     sols = {v: list(representations(reduced, v)) for v in set(minima)}
     best = None

@@ -14,12 +14,12 @@ nonsingular choice of r columns below).  Coordinates of x are then one
 integer vector-matrix product and an exact division; a candidate is
 accepted only after re-multiplying by the basis reproduces x exactly.
 
-Closure and the determinant use the same cleared rows s * b_i.  The
-product of two rows is an integer vector m with b_i * b_j = m / s^2, so
-`products_outside` tests all r^2 products with the cached adjugate and
-builds a quaternion only for a product outside the lattice.  `det` is
-det(S) / s^(2r) for the integer Gram S of the rows under the norm form
-(1, a, p, ap).
+Closure, integrality, the determinant and reduction use the same cleared
+rows s * b_i.  Two rows multiply to an integer m with b_i * b_j = m / s^2,
+so `products_outside` tests the r^2 products with the cached adjugate.
+`basis_is_integral` reads Trd and Nrd off each row.  `det` is
+det(S) / s^(2r) for the integer Gram S = s^2 G of the rows under the norm
+form (1, a, p, ap), and `minkowski_reduced` runs greedy reduction on S.
 """
 
 from __future__ import annotations
@@ -194,6 +194,18 @@ class Lattice:
                 if self._cleared_coords(m, den) is None:
                     yield self.algebra.quat(*(Fraction(c, den) for c in m))
 
+    def basis_is_integral(self) -> bool:
+        """True when every basis vector has integral reduced trace and norm.
+
+        For a cleared row r = s * b, Trd(b) = 2 r_0 / s and Nrd(b) = r^T W r / s^2
+        with W = diag(1, a, p, ap): the test is s | 2 r_0 and s^2 | r^T W r.
+        """
+        scale, rows = self._integer_inverse()[:2]
+        weights = norm_weights(self.algebra)
+        return all(2 * r[0] % scale == 0
+                   and sum(w * c * c for w, c in zip(weights, r)) % (scale * scale) == 0
+                   for r in rows)
+
     # -- invariants ----------------------------------------------------------
 
     def gram(self) -> GramMatrix:
@@ -241,26 +253,25 @@ class Lattice:
 
         The result spans the same lattice; its Gram diagonal is nondecreasing.
         Ties are broken by coordinate order with the first nonzero coordinate
-        of every basis vector made positive.
+        of every basis vector made positive.  Integer work on the cleared
+        canonical rows s * b_i and their Gram s^2 G (Sylvester's criterion,
+        then greedy reduction); each output vector becomes a quaternion once.
         """
         if self.rank > 3:
             raise RankError("reduction is only supported up to rank 3")
-        if self.rank == 0:
-            return self
-        gram = self.gram()
-        if not gram.is_positive_definite():
+        scale, rows = cleared_rows(self.canonical_basis)
+        gram = integer_gram(self.algebra, rows)
+        if not all(det_int([row[:k] for row in gram[:k]]) > 0 for k in range(1, self.rank + 1)):
             raise RankError("Gram matrix is not positive definite")
-        start = self.canonical_basis
-        g0 = [[inner(u, v) for v in start] for u in start]
-        transform = greedy_reduce(g0)
+        weights = norm_weights(self.algebra)
         vecs = []
-        for row in transform:
-            v = self.algebra.quat()
-            for c, b in zip(row, start):
-                v = v + c * b
-            vecs.append(_canonical_sign(v))
-        vecs.sort(key=lambda q: (q.reduced_norm(), q.coords))
-        return Lattice(self.algebra, vecs, _assume_independent=True)
+        for t in greedy_reduce(gram):
+            v = [sum(c * row[j] for c, row in zip(t, rows)) for j in range(4)]
+            sign = 1 if next(c for c in v if c) > 0 else -1
+            vecs.append(tuple(sign * c for c in v))
+        vecs.sort(key=lambda v: (sum(w * c * c for w, c in zip(weights, v)), v))
+        return Lattice(self.algebra, [self.algebra.quat(*(Fraction(c, scale) for c in v))
+                                      for v in vecs], _assume_independent=True)
 
     # -- serialization ---------------------------------------------------------
 
@@ -279,15 +290,6 @@ class Lattice:
         return cls.from_generators(algebra, gens)
 
 
-def _canonical_sign(q: Quaternion) -> Quaternion:
-    for c in q.coords:
-        if c > 0:
-            return q
-        if c < 0:
-            return -q
-    return q
-
-
 def cleared_rows(quaternions) -> tuple[int, list[list[int]]]:
     """(s, rows): s is the lcm of all coordinate denominators and rows[i] =
     s * coords(quaternions[i]) is integral."""
@@ -296,13 +298,18 @@ def cleared_rows(quaternions) -> tuple[int, list[list[int]]]:
     return scale, [[c.numerator * (scale // c.denominator) for c in row] for row in coords]
 
 
+def norm_weights(algebra: AlgebraParams) -> tuple[int, int, int, int]:
+    """The diagonal (1, a, p, ap) of the norm form in the basis {1, i, j, k}."""
+    return (1, algebra.a, algebra.p, algebra.a * algebra.p)
+
+
 def integer_gram(algebra: AlgebraParams, rows) -> list[list[int]]:
     """Gram matrix of integer rows under the norm form (1, a, p, ap).
 
     For rows = s * coords(b_i) it is s^2 times the Gram matrix of inner
     products (1/2) Trd(b_i * conj(b_j)).
     """
-    weights = (1, algebra.a, algebra.p, algebra.a * algebra.p)
+    weights = norm_weights(algebra)
     weighted = [[n * c for n, c in zip(weights, row)] for row in rows]
     return [[sum(x * y for x, y in zip(wu, v)) for v in rows] for wu in weighted]
 

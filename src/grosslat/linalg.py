@@ -2,17 +2,21 @@
 
 Integer routines carry the package: Hermite normal form, and the
 determinant and adjugate behind membership, lattice and trace-form
-determinants and the trace dual.  Two rational routines remain.
-`det_fractions` gives the leading minors of a Gram matrix (Sylvester's
-criterion) and Cramer's rule in reduction.
+determinants, the trace dual, Sylvester's criterion and Cramer's rule in
+reduction.  Two rational routines remain.  `det_fractions` gives the
+leading minors of a rational Gram matrix in `GramMatrix.is_positive_definite`;
+the tests and the benchmark (`perfbench/workloads.py`) import it too.
 `solve_left` has no caller in the package: the tests use it as an
 independent oracle for integer membership, and the benchmark's tracer
-(`perfbench`) imports and patches it under this name.
+(`perfbench`) imports and patches it under this name.  Primality is a
+deterministic Miller-Rabin test, refused above the bound where it is proved.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .errors import LimitExceeded
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -30,17 +34,34 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+PRIME_TEST_LIMIT = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test; LimitExceeded for n >= PRIME_TEST_LIMIT."""
+    if n >= PRIME_TEST_LIMIT:
+        raise LimitExceeded(f"primality is only decided below {PRIME_TEST_LIMIT}, got {n}")
     if n < 2:
         return False
-    for q in (2, 3):
+    for q in _WITNESSES:
         if n % q == 0:
             return n == q
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _WITNESSES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 6
     return True
 
 

@@ -44,16 +44,19 @@ class Order:
             raise RankError(f"an order must have rank 4, got {lattice.rank}")
         if not lattice.contains(lattice.algebra.one):
             raise NotAnOrder("lattice does not contain 1")
-        for b in lattice.basis:
-            if not b.is_integral():
-                raise NotAnOrder(f"basis element {b} is not integral")
+        if not lattice.basis_is_integral():
+            raise NotAnOrder("a basis element is not integral")
         outside = next(lattice.products_outside(), None)
         if outside is not None:
             raise NotAnOrder(f"not closed under multiplication: {outside} is outside")
+        self._adopt(lattice)
+
+    def _adopt(self, lattice: Lattice) -> "Order":
+        """Take the lattice as it is: after the checks above, or from `_adjoin`,
+        which has just shown its lattice to hold 1 and be integral and closed."""
         self.lattice = lattice
-        self._trace_gram: list[list[int]] | None = None
-        self._discriminant: int | None = None
-        self._gross_lattice: Lattice | None = None
+        self._trace_gram = self._discriminant = self._gross_lattice = None
+        return self
 
     @property
     def algebra(self) -> AlgebraParams:
@@ -222,11 +225,10 @@ def extend_to_maximal(order: Order) -> Order:
 
     For each prime q dividing the discriminant cofactor, the q^4 cosets
     y = sum c_i b_i, 0 <= c_i < q, of qO in O are visited in
-    `product(range(q), repeat=4)` order over the canonical basis.  A coset
-    is kept when y/q is integral, that is when q | sum c_i Trd(b_i) and
-    2q^2 | c^T T c for the trace Gram T; the first kept y/q whose
-    adjunction (closed under multiplication, iterated to stability)
-    strictly shrinks the discriminant is taken.
+    `product(range(q), repeat=4)` order over the canonical basis.  Of the
+    cosets with y/q integral (`_integral_cosets`), the first whose adjunction
+    (closed under multiplication, iterated to stability) strictly shrinks
+    the discriminant is taken.
     """
     p = order.algebra.p
     current = order
@@ -248,11 +250,8 @@ def extend_to_maximal(order: Order) -> Order:
 def _enlarge_once(order: Order, q: int) -> Order | None:
     disc = order.reduced_discriminant()
     for x in _integral_cosets(order, q):
-        closed = _adjoin(order, x)
-        if closed is None:
-            continue
-        candidate = Order(closed)
-        if candidate.reduced_discriminant() < disc:
+        candidate = _adjoin(order, x)
+        if candidate is not None and candidate.reduced_discriminant() < disc:
             return candidate
     return None
 
@@ -280,28 +279,24 @@ def _integral_cosets(order: Order, q: int):
         yield sum((c * b for c, b in zip(coeffs, basis)), order.algebra.quat()) / q
 
 
-def _adjoin(order: Order, x: Quaternion) -> Lattice | None:
-    """Smallest multiplicatively closed lattice containing O and x, or None.
+def _adjoin(order: Order, x: Quaternion) -> Order | None:
+    """The order on the smallest closed lattice containing O and x, or None.
 
-    x is integral: the coset scan keeps y = sum c_i b_i only when
-    q | sum c_i Trd(b_i) and 2q^2 | c^T T c, which is exactly integrality of
-    x = y/q.  Iterated closure (`Lattice.products_outside`, in integers);
-    bails out when a basis element goes non-integral or the covolume drops
-    below that of a maximal order (det Gram < p^2 / 16).  Each round adds a
-    product outside the current lattice, so the new lattice contains it with
-    index >= 2 and det Gram falls by a factor >= 4: the floor ends the loop
-    after finitely many rounds.  A lattice returned here contains 1, has an
-    integral basis and is closed, so it is an order.
+    x is integral (`_integral_cosets`).  Iterated closure in integers
+    (`Lattice.products_outside`); bails out when a basis element goes
+    non-integral or the covolume drops below that of a maximal order (det
+    Gram < p^2 / 16).  Each round adds a product outside the current lattice,
+    so det Gram falls by a factor >= 4 and the floor ends the loop.  The
+    lattice returned contains 1, is integral and closed: it becomes an Order
+    without a second check.
     """
     p = order.algebra.p
     floor_det = Fraction(p * p, 16)
     current = Lattice.from_generators(order.algebra, [*order.lattice.basis, x])
     while True:
-        if current.rank != 4 or current.det() < floor_det:
-            return None
-        if not all(b.is_integral() for b in current.basis):
+        if current.rank != 4 or current.det() < floor_det or not current.basis_is_integral():
             return None
         new_products = list(current.products_outside())
         if not new_products:
-            return current
+            return Order.__new__(Order)._adopt(current)
         current = Lattice.from_generators(order.algebra, [*current.basis, *new_products])

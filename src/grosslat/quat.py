@@ -16,6 +16,7 @@ from typing import Union
 
 from .errors import (
     AlgebraMismatch,
+    LimitExceeded,
     MalformedInput,
     RamificationError,
     rational_field,
@@ -25,6 +26,7 @@ from .errors import (
 from .linalg import is_prime, smallest_prime_factor
 
 RatLike = Union[int, str, Fraction]
+A_LIMIT = 10**12
 
 
 def as_fraction(value: RatLike) -> Fraction:
@@ -41,7 +43,11 @@ class AlgebraParams:
     """Parameters (a, p) of the algebra: i^2 = -a, j^2 = -p, k = ij.
 
     Raises ValueError unless a >= 1 and p is prime, and RamificationError
-    unless (-a, -p | Q) ramifies exactly at {p, infinity}.
+    unless (-a, -p | Q) ramifies exactly at {p, infinity}.  The sizes are
+    capped, with LimitExceeded: a <= A_LIMIT = 10^12, so that factoring a
+    for the ramification check (trial division) stays under 0.1 s, and
+    p < linalg.PRIME_TEST_LIMIT (about 3.3 * 10^24), below which the
+    primality test is exact.
     """
 
     a: int
@@ -50,6 +56,8 @@ class AlgebraParams:
     def __post_init__(self) -> None:
         if self.a < 1:
             raise ValueError(f"a must be a positive integer, got {self.a}")
+        if self.a > A_LIMIT:
+            raise LimitExceeded(f"a must be at most {A_LIMIT}, got {self.a}")
         if not is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         places = ramified_places(self.a, self.p)

@@ -1,24 +1,24 @@
-"""Greedy basis reduction for positive definite Gram matrices of rank <= 3.
+"""Greedy basis reduction for positive definite integer Gram matrices of rank <= 3.
 
-Works purely on integer coordinate rows relative to a fixed starting basis
-whose Gram matrix is supplied; in rank <= 3 the greedy algorithm returns a
-basis realizing the successive minima.  Closest-vector subproblems are in
-dimension <= 2 and solved exactly: the real solution is computed with
-rational arithmetic and a +-2 integer window around it is scanned, which is
-sufficient once the smaller basis is itself reduced.
+Works on integer coordinate rows relative to a fixed starting basis whose
+Gram matrix is supplied; in rank <= 3 the greedy algorithm reaches the
+successive minima (Nguyen and Stehle, ACM TALG 5, 2009).  Closest-vector
+subproblems are in dimension <= 2: Cramer's rule, as integer floor division
+by the positive determinant of the normal equations, floors the real
+solution, and a +-2 window around it is scanned, which suffices once the
+smaller basis is itself reduced.  A positive multiple of the Gram matrix
+(s^2 G, 2G) gives the same transform, so callers stay in integers.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
-from math import floor
 
-from .linalg import det_fractions
+from .linalg import det_int
 
 
-def _inner(gram, u, v) -> Fraction:
-    total = Fraction(0)
+def _inner(gram, u, v) -> int:
+    total = 0
     for i, ui in enumerate(u):
         if not ui:
             continue
@@ -29,7 +29,7 @@ def _inner(gram, u, v) -> Fraction:
     return total
 
 
-def _norm(gram, v) -> Fraction:
+def _norm(gram, v) -> int:
     return _inner(gram, v, v)
 
 
@@ -40,15 +40,14 @@ def _sub(u, v, c):
 def _closest_coeffs(gram, head, target):
     """Integer coefficients of a closest vector to target in span(head), |head| <= 2.
 
-    The exact real solution comes from Cramer's rule on the normal
-    equations; the +-2 window around its floor is scanned, ties going to
-    the smaller coefficient tuple.
+    The floor of the real solution is Cramer's rule on the normal
+    equations, with floor division by their positive determinant; the +-2
+    window around it is scanned, ties going to the smaller coefficient tuple.
     """
     normal = [[_inner(gram, u, v) for v in head] for u in head]
     rhs = [_inner(gram, target, u) for u in head]
-    det = det_fractions(normal)
-    floors = [floor(det_fractions([row[:k] + [b] + row[k + 1:] for row, b in zip(normal, rhs)])
-                    / det)
+    det = det_int(normal)
+    floors = [det_int([row[:k] + [b] + row[k + 1:] for row, b in zip(normal, rhs)]) // det
               for k in range(len(head))]
 
     def key(coeffs):
@@ -87,7 +86,8 @@ def _greedy(gram, vectors, d) -> None:
 def greedy_reduce(gram) -> list[list[int]]:
     """Unimodular integer rows U such that U * gram * U^T is greedy-reduced.
 
-    Rows are returned with nondecreasing norms.
+    gram is a positive definite integer matrix.  Rows are returned with
+    nondecreasing norms, ties broken by the smaller row.
     """
     d = len(gram)
     if d > 3:

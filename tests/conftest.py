@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from grosslat import AlgebraParams, extend_to_maximal, load_fixture, order_from_pair
+from grosslat.errors import RamificationError
+from grosslat.linalg import is_prime
 
 # (a, p, c1, c2): saturate the order generated by c1*i and c2*j.  -a is a
 # non-square mod p, with one or two p per residue class: 3 mod 4 (7, 23),
@@ -17,6 +20,26 @@ SATURATED_CASES = [
 def saturated_order(a, p, c1, c2):
     algebra = AlgebraParams(a, p)
     return extend_to_maximal(order_from_pair(c1 * algebra.i, c2 * algebra.j))
+
+
+def least_algebra(p):
+    """AlgebraParams(a, p) for the least a that ramifies exactly at {p, infinity}."""
+    a = 1
+    while True:
+        try:
+            return AlgebraParams(a, p)
+        except RamificationError:
+            a += 1
+
+
+def grid_seeds():
+    """Z<c1 i, c2 j> for every prime p <= 47, three seeded (c1, c2) in 1..6 each."""
+    rng = random.Random(505)
+    pairs = list(product(range(1, 7), repeat=2))
+    for p in (q for q in range(2, 48) if is_prime(q)):
+        algebra = least_algebra(p)
+        for c1, c2 in rng.sample(pairs, 3):
+            yield order_from_pair(c1 * algebra.i, c2 * algebra.j)
 
 
 @pytest.fixture(scope="session")
@@ -70,3 +93,17 @@ def random_order_element(rng: random.Random, order, span: int = 5):
     for b in order.lattice.basis:
         x = x + rng.randint(-span, span) * b
     return x
+
+
+def random_unimodular(rng, n):
+    """Product of random integer shears and row swaps; determinant +-1."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(12):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            continue
+        c = rng.randint(-3, 3)
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+        if rng.random() < 0.3:
+            rows[i], rows[j] = rows[j], rows[i]
+    return rows

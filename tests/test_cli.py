@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +178,14 @@ class TestMalformedInput:
                             "--element", '["1/0", "0", "0", "0"]',
                             mentions="quaternion coordinate")
 
+    @pytest.mark.parametrize("algebra, mentions", [
+        ({"a": 1, "p": 3317044064679887385961981}, "primality is only decided below"),
+        ({"a": 10**12 + 1, "p": 11}, "a must be at most 1000000000000"),
+    ])
+    def test_fixture_algebra_too_large(self, capsys, tmp_path, fixture_p11, algebra, mentions):
+        self.assert_fixture_refused(capsys, tmp_path, fixture_p11,
+                                    lambda d: d.update(algebra=algebra), mentions=mentions)
+
     def test_fixture_algebra_not_ramified_at_p(self, capsys, tmp_path, fixture_p11):
         self.assert_fixture_refused(capsys, tmp_path, fixture_p11,
                                     lambda d: d["algebra"].update(a=1, p=5),
@@ -182,6 +194,26 @@ class TestMalformedInput:
 
 class TestLimits:
     """Size arguments above their caps are refused before any work starts."""
+
+    def test_huge_prime_returns(self, tmp_path, fixture_p11):
+        # p = 10^18 + 3 is prime and (-1, -p | Q) ramifies at {p, infinity};
+        # the order Z<i, j> passes, so the run goes past the algebra checks
+        data = fixture_p11.to_dict()
+        data["algebra"] = {"a": 1, "p": 10**18 + 3}
+        data["order_basis"] = [[str(int(i == j)) for j in range(4)] for i in range(4)]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data), "utf-8")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path_dirs = [src] + [d for d in [os.environ.get("PYTHONPATH")] if d]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_dirs))
+        done = subprocess.run([sys.executable, "-m", "grosslat.cli", "verify-order",
+                               "--config", str(path)],
+                              capture_output=True, text=True, timeout=30, env=env)
+        assert "Traceback" not in done.stderr
+        assert done.returncode == 1
+        report = json.loads(done.stdout)
+        assert report["reduced_discriminant"] == 4 * (10**18 + 3)
+        assert not report["ok"]
 
     @pytest.mark.parametrize("argv, mentions", [
         (["represents", "--form", '{"A":1,"B":1,"C":1,"D":0,"E":0,"F":0}',

@@ -7,7 +7,7 @@ from grosslat import GramMatrix, Lattice, TernaryForm
 from grosslat.errors import AlgebraMismatch, ContainmentError, EmptyLatticeInput, RankError
 from grosslat.linalg import det_fractions, det_int, solve_left
 
-from conftest import random_quat
+from conftest import random_order_element, random_quat, random_unimodular
 from fraction_enum import ldl
 
 F = Fraction
@@ -20,20 +20,6 @@ def gross_basis_p11(alg11):
         alg11.quat(0, F(1, 3), 1, F(-1, 3)),
         alg11.quat(0, F(1, 3), 0, F(2, 3)),
     ]
-
-
-def random_unimodular(rng, n):
-    """Product of random integer shears and row swaps; determinant +-1."""
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(12):
-        i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.randint(-3, 3)
-        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-        if rng.random() < 0.3:
-            rows[i], rows[j] = rows[j], rows[i]
-    return rows
 
 
 def transformed(lattice, rows):
@@ -250,6 +236,34 @@ class TestIntegerClosureAndDet:
                 assert sub.det() == det_fractions([list(r) for r in sub.gram().entries])
                 mixed += 0 < len(expected) < len(products)
         assert mixed > 0
+
+
+class TestIntegralBasis:
+    """basis_is_integral (cleared rows: s | 2 r_0 and s^2 | r^T W r) against
+    Quaternion.is_integral on every basis vector."""
+
+    @pytest.mark.parametrize("den", [2, 3, 6])
+    def test_rank_four_lattices(self, alg19, order_p11, order_p31, order_p19, den):
+        rng = random.Random(240 + den)
+        verdicts = set()
+        for order in (order_p11, order_p31, order_p19):
+            trials = 0
+            while trials < 12:
+                basis = [random_order_element(rng, order, span=3) for _ in range(4)]
+                basis = [x / den if rng.random() < 0.4 else x for x in basis]
+                if rational_rank([list(b.coords) for b in basis]) < 4:
+                    continue
+                trials += 1
+                lat = Lattice(order.algebra, basis)
+                expected = all(b.is_integral() for b in basis)
+                assert lat.basis_is_integral() == expected
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+        # (j + k)/2 in (-1, -19): Trd 0, and r^T W r = 38 for r = (0, 0, 1, 1) is
+        # divisible by s = 2 but not by s^2
+        half = Lattice(alg19, [alg19.one, alg19.i, alg19.j, (alg19.j + alg19.k) / 2])
+        assert not half.basis_is_integral()
+        assert Lattice(alg19, [alg19.one, alg19.i, alg19.j, alg19.k]).basis_is_integral()
 
 
 class TestIndex:

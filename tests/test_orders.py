@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import product
 from math import isqrt
 
 import pytest
@@ -20,15 +19,19 @@ from grosslat.errors import (
     LiftError,
     NotAnOrder,
     NotMaximal,
-    RamificationError,
     RankError,
 )
-from grosslat.linalg import det_fractions, is_prime
-from grosslat.orders import Order, _integral_cosets
+from grosslat.linalg import det_fractions
+from grosslat.orders import Order, _adjoin, _integral_cosets
 
-from conftest import SATURATED_CASES, saturated_order
+from conftest import SATURATED_CASES, grid_seeds, saturated_order
 from norm_scan import norm_p_ideal_by_scan
-from saturation_scan import discriminant_by_gram, integral_cosets_by_scan, saturate_by_scan
+from saturation_scan import (
+    adjoin_by_products,
+    discriminant_by_gram,
+    integral_cosets_by_scan,
+    saturate_by_scan,
+)
 
 F = Fraction
 
@@ -153,26 +156,6 @@ class TestExtendToMaximal:
         assert maximal.reduced_discriminant() == 19
 
 
-def least_algebra(p):
-    """AlgebraParams(a, p) for the least a that ramifies exactly at {p, infinity}."""
-    a = 1
-    while True:
-        try:
-            return AlgebraParams(a, p)
-        except RamificationError:
-            a += 1
-
-
-def grid_seeds():
-    """Z<c1 i, c2 j> for every prime p <= 47, three seeded (c1, c2) in 1..6 each."""
-    rng = random.Random(505)
-    pairs = list(product(range(1, 7), repeat=2))
-    for p in (q for q in range(2, 48) if is_prime(q)):
-        algebra = least_algebra(p)
-        for c1, c2 in rng.sample(pairs, 3):
-            yield order_from_pair(c1 * algebra.i, c2 * algebra.j)
-
-
 class TestSaturationMatchesScanOracle:
     """extend_to_maximal (integer coset test, integer closure) against the
     Fraction coset scan of tests/saturation_scan.py: same maximal order,
@@ -183,7 +166,10 @@ class TestSaturationMatchesScanOracle:
         algebra = AlgebraParams(a, p)
         seed = order_from_pair(c1 * algebra.i, c2 * algebra.j)
         expected = saturate_by_scan(seed.lattice).canonical_basis
-        assert saturated_order(a, p, c1, c2).lattice.canonical_basis == expected
+        maximal = saturated_order(a, p, c1, c2)
+        assert maximal.lattice.canonical_basis == expected
+        # saturation builds its orders unchecked; the full check still passes
+        assert Order(maximal.lattice).reduced_discriminant() == p
 
     def test_p31_fixture_path(self, fixture_p31):
         seed = order_from_pair(fixture_p31.alpha, 3 * fixture_p31.algebra.i)
@@ -197,7 +183,23 @@ class TestSaturationMatchesScanOracle:
             expected = saturate_by_scan(seed.lattice)
             assert maximal.lattice.canonical_basis == expected.canonical_basis
             assert maximal.reduced_discriminant() == discriminant_by_gram(expected) \
-                == seed.algebra.p
+                == Order(maximal.lattice).reduced_discriminant() == seed.algebra.p
+
+    def test_adjoin(self, alg19):
+        """Each unchecked order from _adjoin is the oracle's closure and a full Order."""
+        orders = [Order(standard_lattice(alg19))]
+        orders += [seed for seed, _ in zip(grid_seeds(), range(9))]
+        built = 0
+        for order in orders:
+            for q in (2, 3):
+                for x in _integral_cosets(order, q):
+                    closed = _adjoin(order, x)
+                    expected = adjoin_by_products(order.lattice, x)
+                    assert (closed and closed.lattice) == expected
+                    if closed is not None:
+                        assert Order(closed.lattice).lattice == closed.lattice
+                        built += 1
+        assert built > 0
 
     def test_integral_cosets(self, alg19, order_p11, order_p31, order_p19):
         orders = [Order(standard_lattice(alg19)), order_p11, order_p31, order_p19]

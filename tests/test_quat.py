@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from grosslat import AlgebraParams, commutator, gross_map, inner
-from grosslat.errors import AlgebraMismatch, MalformedInput, RamificationError
-from grosslat.quat import ramified_places
+from grosslat.errors import AlgebraMismatch, LimitExceeded, MalformedInput, RamificationError
+from grosslat.linalg import PRIME_TEST_LIMIT, is_prime
+from grosslat.quat import A_LIMIT, ramified_places
 
 from conftest import SATURATED_CASES, random_quat
 
@@ -183,6 +185,14 @@ class TestConstruction:
             assert ramified_places(a, p) == {0, p}
             assert AlgebraParams(a, p).p == p
 
+    def test_size_caps(self):
+        # 10^18 + 3 is prime; trial division would need about 10^9 / 3 steps
+        assert AlgebraParams(1, 10**18 + 3).p == 10**18 + 3
+        with pytest.raises(LimitExceeded):
+            AlgebraParams(1, PRIME_TEST_LIMIT)
+        with pytest.raises(LimitExceeded):
+            AlgebraParams(A_LIMIT + 1, 11)
+
     def test_coordinate_with_zero_denominator(self, alg11):
         for bad in ("1/0", "0/0", "x"):
             with pytest.raises(MalformedInput):
@@ -198,3 +208,26 @@ class TestConstruction:
         assert 2 * q == q + q
         assert q / 2 + q / 2 == q
         assert 1 + q - 1 == q
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    return n >= 2 and all(n % f for f in range(2, isqrt(n) + 1))
+
+
+class TestPrimality:
+    def test_matches_trial_division(self):
+        assert [n for n in range(-3, 10**5) if is_prime(n)] \
+            == [n for n in range(-3, 10**5) if is_prime_by_trial_division(n)]
+
+    def test_strong_pseudoprimes(self):
+        # psi_1, ..., psi_12: the least strong pseudoprimes to the first k prime
+        # bases (psi_7 = psi_8 and psi_9 = psi_10 = psi_11)
+        for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                  341550071728321, 3825123056546413051, 318665857834031151167461):
+            assert not is_prime(n)
+        assert is_prime(2**61 - 1) and is_prime(10**18 + 3)
+
+    def test_refuses_above_the_proved_bound(self):
+        assert not is_prime(PRIME_TEST_LIMIT - 1)
+        with pytest.raises(LimitExceeded):
+            is_prime(PRIME_TEST_LIMIT)
