@@ -35,6 +35,8 @@ class FixtureConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "FixtureConfig":
         require_fields(data, ("label", "algebra", "order_basis", "alpha", "ell"), "fixture")
+        if not isinstance(data["label"], str):
+            raise MalformedInput(f"fixture field label must be a string, got {data['label']!r}")
         algebra = AlgebraParams.from_dict(data["algebra"])
         if not isinstance(data["order_basis"], list):
             raise MalformedInput("order_basis must be a list of coordinate lists")
@@ -49,7 +51,7 @@ class FixtureConfig:
             order_basis=basis,
             alpha=alpha,
             ell=ell,
-            expected=dict(data.get("expected", {})),
+            expected=_checked_expected(data.get("expected", {})),
         )
 
     def to_dict(self) -> dict:
@@ -61,6 +63,26 @@ class FixtureConfig:
             "ell": self.ell,
             "expected": self.expected,
         }
+
+
+def _checked_expected(expected) -> dict:
+    """A copy of the expected block, refused unless the values the CLI
+    compares are an integer, a scalar and a list of scalars."""
+    if not isinstance(expected, dict):
+        raise MalformedInput(f"fixture field expected must be a JSON object, got {expected!r}")
+    if "reduced_discriminant" in expected:
+        disc = scalar_field(expected["reduced_discriminant"], "expected reduced_discriminant")
+        if not isinstance(disc, int):
+            raise MalformedInput(f"expected reduced_discriminant must be an integer, got {disc!r}")
+    if "gross_det" in expected:
+        scalar_field(expected["gross_det"], "expected gross_det")
+    if "gross_gram_diagonal" in expected:
+        diagonal = expected["gross_gram_diagonal"]
+        if not isinstance(diagonal, list):
+            raise MalformedInput(f"expected gross_gram_diagonal must be a list, got {diagonal!r}")
+        for value in diagonal:
+            scalar_field(value, "expected gross_gram_diagonal entry")
+    return dict(expected)
 
 
 def load_fixture(name_or_path: str) -> FixtureConfig:

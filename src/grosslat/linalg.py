@@ -1,11 +1,14 @@
 """Exact integer and rational linear algebra for small (rank <= 4) problems.
 
-Integer routines carry the package: Hermite normal form, and the
-determinant and adjugate behind membership, lattice and trace-form
-determinants, the trace dual, Sylvester's criterion and Cramer's rule in
-reduction.  Two rational routines remain.  `det_fractions` gives the
-leading minors of a rational Gram matrix in `GramMatrix.is_positive_definite`;
-the tests and the benchmark (`perfbench/workloads.py`) import it too.
+Integer routines carry the package.  The Hermite normal form is the stored
+form of every lattice, and membership is back-substitution on it.  The
+determinant serves the index, lower-rank lattice determinants, the trace
+dual, Sylvester's criterion and Cramer's rule in reduction.  The adjugate
+serves only the trace dual (`Order.norm_p_ideal`) and the change from the
+HNF to a lattice's own basis when the two differ.  Two rational routines
+remain.  `det_fractions` gives the leading minors of a rational Gram matrix
+in `GramMatrix.is_positive_definite`; the tests and the benchmark
+(`perfbench/workloads.py`) import it too.
 `solve_left` has no caller in the package: the tests use it as an
 independent oracle for integer membership, and the benchmark's tracer
 (`perfbench`) imports and patches it under this name.  Primality is a
@@ -130,6 +133,11 @@ def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     rev = [list(reversed(r)) for r in rows]
     ech = _echelon_hnf(rev)
     return [list(reversed(r)) for r in reversed(ech)]
+
+
+def combine_rows(coeffs, rows) -> list[int]:
+    """The row vector sum_i coeffs[i] * rows[i]."""
+    return [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows[0]))]
 
 
 def det_int(matrix: list[list[int]]) -> int:

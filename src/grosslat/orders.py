@@ -1,36 +1,29 @@
 """Orders in the definite quaternion algebra.
 
 An order is a rank-4 lattice containing 1, closed under multiplication,
-whose elements are all integral.  Every invariant below comes from one
-integer matrix, the trace Gram T_ij = Trd(b_i * conj(b_j)) of the
-canonical basis.  The reduced discriminant is isqrt(det T), and a maximal
-order has reduced discriminant exactly p.  The ideal of elements with norm
-divisible by p is p times the trace dual of O.
+whose elements are all integral.  Its invariants are read off the HNF rows
+H = s * b_i of its lattice: the trace Gram T_ij = Trd(b_i * conj(b_j)) is
+2 H W H^T / s^2 for W = diag(1, a, p, ap), and the reduced discriminant,
+the square root of det T, is 4ap det(H) / s^4 (Voight, Quaternion Algebras,
+ch. 15); it is exactly p for a maximal order.  The ideal of elements with
+norm divisible by p is p times the trace dual of O.
 
 A non-maximal order is enlarged by scanning the cosets of (1/q)O over O
 for integral elements whose adjunction shrinks the discriminant.  For
 y = sum c_i b_i, the element y/q is integral iff q | sum c_i Trd(b_i) and
-2q^2 | c^T T c, since Trd(y) = sum c_i Trd(b_i) and 2 Nrd(y) = c^T T c;
-a quaternion is built only for a coset that passes this test.
+2q^2 | c^T T c, since Trd(y) = sum c_i Trd(b_i) and 2 Nrd(y) = c^T T c.
+Cosets and closure stay integer rows; no quaternion is built on the way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import isqrt
 
-from .errors import (
-    AlgebraInconsistency,
-    IntegralityError,
-    LiftError,
-    NotAnOrder,
-    NotMaximal,
-    RankError,
-    SaturationError,
-)
-from .lattice import Lattice, cleared_rows, integer_gram
-from .linalg import adjugate, det_int, smallest_prime_factor
+from .errors import (AlgebraInconsistency, IntegralityError, LiftError, NotAnOrder, NotMaximal,
+                     RankError, SaturationError)
+from .lattice import Lattice, cleared_rows, integer_gram, row_quaternion
+from .linalg import adjugate, combine_rows, det_int, smallest_prime_factor
 from .quat import AlgebraParams, Quaternion, gross_map
 
 
@@ -48,6 +41,8 @@ class Order:
             raise NotAnOrder("a basis element is not integral")
         outside = next(lattice.products_outside(), None)
         if outside is not None:
+            scale = cleared_rows(lattice.basis)[0]
+            outside = row_quaternion(lattice.algebra, outside, scale * scale)
             raise NotAnOrder(f"not closed under multiplication: {outside} is outside")
         self._adopt(lattice)
 
@@ -81,11 +76,11 @@ class Order:
     def trace_gram(self) -> list[list[int]]:
         """The integer matrix T_ij = Trd(b_i * conj(b_j)) of the canonical basis.
 
-        With rows = s * b_i cleared of denominators, T = 2 S / s^2 for their
-        integer Gram S.  Computed once per order.
+        T = 2 S / s^2 for the integer Gram S of the HNF rows H = s * b_i.
+        Computed once per order.
         """
         if self._trace_gram is None:
-            scale, rows = cleared_rows(self.lattice.canonical_basis)
+            scale, rows = self.lattice.hnf
             den = scale * scale
             doubled = [[2 * g for g in row] for row in integer_gram(self.algebra, rows)]
             if any(g % den for row in doubled for g in row):
@@ -94,13 +89,13 @@ class Order:
         return self._trace_gram
 
     def reduced_discriminant(self) -> int:
-        """Square root of det Trd(b_i * conj(b_j)); equals p iff maximal."""
+        """4ap det(H) / s^4, the square root of det T; equals p iff maximal."""
         if self._discriminant is None:
-            n = det_int(self.trace_gram())
-            r = isqrt(n)
-            if r * r != n:
-                raise AlgebraInconsistency("trace form determinant is not a square")
-            self._discriminant = r
+            ap = self.algebra.a * self.algebra.p
+            disc, rem = divmod(4 * ap * self.lattice.pivot_product(), self.lattice.hnf[0] ** 4)
+            if rem:
+                raise AlgebraInconsistency("reduced discriminant is not an integer")
+            self._discriminant = disc
         return self._discriminant
 
     def is_maximal(self) -> bool:
@@ -142,18 +137,15 @@ class Order:
         p = self.algebra.p
         if not self.is_maximal():
             raise NotMaximal("the norm-p ideal requires a maximal order")
-        basis = self.lattice.canonical_basis
+        scale, rows = self.lattice.hnf
         trace_gram = self.trace_gram()
         det = det_int(trace_gram)
         generators = []
-        for row in adjugate(trace_gram):
-            if any(p * c % det for c in row):
+        for coeffs in adjugate(trace_gram):
+            if any(p * c % det for c in coeffs):
                 raise AlgebraInconsistency("p times the dual basis is not in the order")
-            x = self.algebra.quat()
-            for c, b in zip(row, basis):
-                x = x + (p * c // det) * b
-            generators.append(x)
-        return Lattice.from_generators(self.algebra, generators)
+            generators.append(combine_rows([p * c // det for c in coeffs], rows))
+        return Lattice._from_rows(self.algebra, scale, generators)
 
 
 def is_order(lattice: Lattice) -> bool:
@@ -249,24 +241,24 @@ def extend_to_maximal(order: Order) -> Order:
 
 def _enlarge_once(order: Order, q: int) -> Order | None:
     disc = order.reduced_discriminant()
-    for x in _integral_cosets(order, q):
-        candidate = _adjoin(order, x)
+    for y in _integral_cosets(order, q):
+        candidate = _adjoin(order, y, q)
         if candidate is not None and candidate.reduced_discriminant() < disc:
             return candidate
     return None
 
 
 def _integral_cosets(order: Order, q: int):
-    """Yield y/q for each nonzero y = sum c_i b_i, 0 <= c_i < q, with y/q integral.
+    """Yield the row sum c_i H_i of each nonzero y = sum c_i b_i, 0 <= c_i < q,
+    with y/q integral; H = s * b_i are the HNF rows, so y/q is that row over sq.
 
     The c run in `product(range(q), repeat=4)` order over the canonical
     basis.  Trd(y) = sum c_i Trd(b_i) and 2 Nrd(y) = c^T T c for the trace
-    Gram T, so y/q is integral iff q divides the first and 2q^2 the second;
-    a quaternion is built only for a coset that passes.
+    Gram T, so y/q is integral iff q divides the first and 2q^2 the second.
     """
-    basis = order.lattice.canonical_basis
+    scale, rows = order.lattice.hnf
     gram = order.trace_gram()
-    traces = [int(b.reduced_trace()) for b in basis]
+    traces = [2 * row[0] // scale for row in rows]
     two_q2 = 2 * q * q
     for coeffs in product(range(q), repeat=4):
         if not any(coeffs):
@@ -276,27 +268,31 @@ def _integral_cosets(order: Order, q: int):
         if sum(c * sum(g * d for g, d in zip(row, coeffs))
                for c, row in zip(coeffs, gram)) % two_q2:
             continue
-        yield sum((c * b for c, b in zip(coeffs, basis)), order.algebra.quat()) / q
+        yield combine_rows(coeffs, rows)
 
 
-def _adjoin(order: Order, x: Quaternion) -> Order | None:
+def _adjoin(order: Order, y, q: int) -> Order | None:
     """The order on the smallest closed lattice containing O and x, or None.
 
-    x is integral (`_integral_cosets`).  Iterated closure in integers
-    (`Lattice.products_outside`); bails out when a basis element goes
-    non-integral or the covolume drops below that of a maximal order (det
-    Gram < p^2 / 16).  Each round adds a product outside the current lattice,
-    so det Gram falls by a factor >= 4 and the floor ends the loop.  The
-    lattice returned contains 1, is integral and closed: it becomes an Order
-    without a second check.
+    x = y / (sq) is integral (`_integral_cosets`).  Iterated closure on
+    integer rows (`Lattice.products_outside`); bails out when a basis element
+    goes non-integral or the covolume drops below that of a maximal order
+    (det Gram < p^2 / 16).  Each round adds a product outside the current
+    lattice, so det Gram falls by a factor >= 4 and the floor ends the loop.
+    The lattice returned contains 1, is integral and closed: it becomes an
+    Order without a second check.
     """
     p = order.algebra.p
     floor_det = Fraction(p * p, 16)
-    current = Lattice.from_generators(order.algebra, [*order.lattice.basis, x])
+    lattice, factor, extra = order.lattice, q, [y]
     while True:
-        if current.rank != 4 or current.det() < floor_det or not current.basis_is_integral():
+        # the lattice spanned by the last one, over s, and the rows extra over s * factor
+        scale, rows = lattice.hnf
+        lattice = Lattice._from_rows(order.algebra, scale * factor,
+                                     [*([factor * e for e in row] for row in rows), *extra])
+        if lattice.rank != 4 or lattice.det() < floor_det or not lattice.basis_is_integral():
             return None
-        new_products = list(current.products_outside())
-        if not new_products:
-            return Order.__new__(Order)._adopt(current)
-        current = Lattice.from_generators(order.algebra, [*current.basis, *new_products])
+        extra = list(lattice.products_outside())
+        if not extra:
+            return Order.__new__(Order)._adopt(lattice)
+        factor = lattice.hnf[0]

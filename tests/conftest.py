@@ -32,13 +32,14 @@ def least_algebra(p):
             a += 1
 
 
-def grid_seeds():
-    """Z<c1 i, c2 j> for every prime p <= 47, three seeded (c1, c2) in 1..6 each."""
+def grid_seeds(per_prime: int = 3):
+    """Z<c1 i, c2 j> for every prime p <= 47 and per_prime seeded (c1, c2) in
+    1..6 each; per_prime = 36 is the whole grid of 540 seeds."""
     rng = random.Random(505)
     pairs = list(product(range(1, 7), repeat=2))
     for p in (q for q in range(2, 48) if is_prime(q)):
         algebra = least_algebra(p)
-        for c1, c2 in rng.sample(pairs, 3):
+        for c1, c2 in rng.sample(pairs, per_prime):
             yield order_from_pair(c1 * algebra.i, c2 * algebra.j)
 
 

@@ -146,12 +146,36 @@ class TestMalformedInput:
     def test_form_float_coefficient(self, capsys):
         self.assert_form_refused(capsys, 1.5)
 
-    def assert_fixture_refused(self, capsys, tmp_path, fixture_p11, edit, mentions):
-        data = fixture_p11.to_dict()
+    def assert_fixture_refused(self, capsys, tmp_path, fixture_p11, edit, mentions,
+                               verb=("verify-order",)):
+        # a deep copy, so that edits never reach the session fixture
+        data = json.loads(json.dumps(fixture_p11.to_dict()))
         edit(data)
         path = tmp_path / "edited.json"
         path.write_text(json.dumps(data), "utf-8")
-        self.assert_refused(capsys, "verify-order", "--config", str(path), mentions=mentions)
+        self.assert_refused(capsys, verb[0], "--config", str(path), *verb[1:], mentions=mentions)
+
+    @pytest.mark.parametrize("edit, mentions", [
+        (lambda d: d.update(expected=[1, 2]), "fixture field expected"),
+        (lambda d: d.update(expected=5), "fixture field expected"),
+        (lambda d: d["expected"].update(gross_gram_diagonal=5), "expected gross_gram_diagonal"),
+        (lambda d: d["expected"].update(gross_gram_diagonal=[3, 15.0, 15]),
+         "expected gross_gram_diagonal entry"),
+        (lambda d: d["expected"].update(reduced_discriminant="11"),
+         "expected reduced_discriminant"),
+        (lambda d: d["expected"].update(gross_det=[484]), "expected gross_det"),
+        (lambda d: d.update(label=[1]), "fixture field label"),
+    ], ids=["expected-list", "expected-int", "diagonal-int", "diagonal-float",
+            "discriminant-string", "det-list", "label-list"])
+    def test_fixture_malformed_expected(self, capsys, tmp_path, fixture_p11, edit, mentions):
+        self.assert_fixture_refused(capsys, tmp_path, fixture_p11, edit, mentions)
+
+    @pytest.mark.parametrize("expected", [[1, 2], 5], ids=["list", "int"])
+    def test_equivalence_malformed_expected(self, capsys, tmp_path, fixture_p11, expected):
+        self.assert_fixture_refused(capsys, tmp_path, fixture_p11,
+                                    lambda d: d.update(expected=expected),
+                                    mentions="fixture field expected",
+                                    verb=("equivalence", "--ell-max", "3"))
 
     def test_fixture_float_prime(self, capsys, tmp_path, fixture_p11):
         self.assert_fixture_refused(capsys, tmp_path, fixture_p11,

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from grosslat import GramMatrix, Lattice, TernaryForm
+from grosslat import GramMatrix, Lattice, TernaryForm, trace_zero_commutator_basis
 from grosslat.errors import AlgebraMismatch, ContainmentError, EmptyLatticeInput, RankError
+from grosslat.lattice import cleared_rows, row_quaternion
 from grosslat.linalg import det_fractions, det_int, solve_left
 
 from conftest import random_order_element, random_quat, random_unimodular
@@ -146,7 +147,7 @@ def expected_coords(lattice, x):
 
 
 class TestIntegerMembership:
-    """coords_of (cached integer adjugate) against linalg.solve_left."""
+    """coords_of (back-substitution on the HNF rows) against linalg.solve_left."""
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_random_lattices(self, alg11, rank):
@@ -201,10 +202,59 @@ class TestIntegerMembership:
             assert base.coords_of(x) == (1, 3, 5, 7) == same.coords_of(x)
             assert doubled.coords_of(x) is None
             assert doubled.coords_of(2 * x) == (1, 3, 5, 7)
-        assert base._inverse is not same._inverse
-        assert base._inverse is not doubled._inverse
-        assert base._inverse[0] == 1 and doubled._inverse[0] == 1
-        assert base._inverse[4] == 1 and doubled._inverse[4] == 16
+        assert base.hnf == same.hnf and base.hnf is not same.hnf
+        assert base.hnf != doubled.hnf
+        # the doubled lattice keeps scale 1; its pivots multiply to 2^4
+        assert base.hnf[0] == 1 and doubled.hnf[0] == 1
+        assert base.pivot_product() == 1 and doubled.pivot_product() == 16
+
+
+def products_outside(lattice):
+    """Lattice.products_outside as quaternions: each row m is s^2 (u * v)."""
+    scale = cleared_rows(lattice.basis)[0]
+    return [row_quaternion(lattice.algebra, m, scale * scale)
+            for m in lattice.products_outside()]
+
+
+class TestBackSubstitution:
+    """coords_of and contains (back-substitution on the stored HNF) against the
+    solve_left oracle, on canonical bases and on bases other than H / s."""
+
+    def check_against_oracle(self, lat, rng, trials=8):
+        for _ in range(trials):
+            coeffs = tuple(rng.randint(-6, 6) for _ in range(lat.rank))
+            member = combination(lat, coeffs)
+            assert lat.coords_of(member) == coeffs == expected_coords(lat, member)
+            assert lat.contains(member)
+            inside_span = combination(lat, [F(c, rng.choice((1, 2, 3))) for c in coeffs])
+            for x in (inside_span, random_quat(rng, lat.algebra)):
+                expected = expected_coords(lat, x)
+                assert lat.coords_of(x) == expected
+                assert lat.contains(x) == (expected is not None)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_canonical_and_unimodular_bases(self, alg11, rank):
+        rng = random.Random(250 + rank)
+        for _ in range(8):
+            canonical = Lattice.from_generators(alg11, random_lattice(rng, alg11, rank).basis)
+            assert canonical.basis == canonical.canonical_basis
+            self.check_against_oracle(canonical, rng)
+            rows = random_unimodular(rng, rank)
+            rows[0] = [-c for c in rows[0]]
+            image = transformed(canonical, rows)
+            assert image == canonical and image.basis != canonical.basis
+            self.check_against_oracle(image, rng)
+
+    def test_minkowski_and_commutator_bases(self, order_p11, order_p31, order_p19):
+        rng = random.Random(255)
+        reordered = 0
+        for order in (order_p11, order_p31, order_p19):
+            reduced = order.gross_lattice().minkowski_reduced()
+            triple = Lattice(order.algebra, trace_zero_commutator_basis(order))
+            for lat in (reduced, triple):
+                reordered += lat.basis != lat.canonical_basis
+                self.check_against_oracle(lat, rng, trials=20)
+        assert reordered == 6
 
 
 class TestIntegerClosureAndDet:
@@ -218,7 +268,7 @@ class TestIntegerClosureAndDet:
             lat = random_lattice(rng, alg11, rank)
             expected = [u * v for u in lat.basis for v in lat.basis
                         if not lat.contains(u * v)]
-            assert list(lat.products_outside()) == expected
+            assert products_outside(lat) == expected
             assert lat.det() == det_fractions([list(r) for r in lat.gram().entries])
 
     def test_orders_and_suborders(self, order_p11, order_p31, order_p19):
@@ -232,7 +282,7 @@ class TestIntegerClosureAndDet:
                                               zip(scales, order.lattice.basis)])
                 products = [u * v for u in sub.basis for v in sub.basis]
                 expected = [x for x in products if not sub.contains(x)]
-                assert list(sub.products_outside()) == expected
+                assert products_outside(sub) == expected
                 assert sub.det() == det_fractions([list(r) for r in sub.gram().entries])
                 mixed += 0 < len(expected) < len(products)
         assert mixed > 0
@@ -271,6 +321,22 @@ class TestIndex:
         lat = Lattice.from_generators(alg11, [alg11.one, alg11.i, alg11.j, alg11.k])
         doubled = Lattice.from_generators(alg11, [2 * b for b in lat.basis])
         assert doubled.index_in(lat) == 2 ** lat.rank
+
+    def test_index_matches_solve_left_oracle(self, alg11):
+        """index_in on the HNF rows: |det| of the oracle's coordinates of the
+        sublattice basis in the superlattice basis, for either basis."""
+        rng = random.Random(217)
+        for rank in (1, 2, 3, 4):
+            top = random_lattice(rng, alg11, rank)
+            for _ in range(5):
+                rows = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(rank)]
+                if det_int(rows) == 0:
+                    continue
+                sub = Lattice(alg11, [combination(top, r) for r in rows])
+                oracle = abs(det_int([list(expected_coords(top, b)) for b in sub.basis]))
+                canonical_sub = Lattice.from_generators(alg11, sub.basis)
+                canonical_top = Lattice.from_generators(alg11, top.basis)
+                assert sub.index_in(top) == canonical_sub.index_in(canonical_top) == oracle
 
     def test_self_index(self, alg11):
         lat = Lattice.from_generators(alg11, [alg11.i, alg11.j])

@@ -21,7 +21,8 @@ from grosslat.errors import (
     NotMaximal,
     RankError,
 )
-from grosslat.linalg import det_fractions
+from grosslat.lattice import row_quaternion
+from grosslat.linalg import det_fractions, det_int
 from grosslat.orders import Order, _adjoin, _integral_cosets
 
 from conftest import SATURATED_CASES, grid_seeds, saturated_order
@@ -39,6 +40,12 @@ F = Fraction
 def standard_lattice(algebra):
     return Lattice.from_generators(
         algebra, [algebra.one, algebra.i, algebra.j, algebra.k])
+
+
+def integral_cosets(order, q):
+    """_integral_cosets as quaternions: each row y is s * q times the coset."""
+    scale = order.lattice.hnf[0]
+    return [row_quaternion(order.algebra, y, scale * q) for y in _integral_cosets(order, q)]
 
 
 def trace_form_discriminant(lattice):
@@ -98,6 +105,38 @@ class TestDiscriminant:
             order_p11.algebra, [one, 2 * a1, 2 * a2, 2 * a3]))
         assert sub.reduced_discriminant() % order_p11.reduced_discriminant() == 0
         assert sub.reduced_discriminant() > order_p11.reduced_discriminant()
+
+
+class TestPivotCovolume:
+    """Rank-4 det() = (ap det H)^2 / s^8 against det_fractions of the Gram, and
+    reduced_discriminant() = 4ap det(H) / s^4 against isqrt(det T)."""
+
+    @staticmethod
+    def check(order):
+        lattice = order.lattice
+        assert lattice.det() == det_fractions([list(row) for row in lattice.gram().entries])
+        n = det_int(order.trace_gram())
+        root = isqrt(n)
+        assert root * root == n
+        assert Order(lattice).reduced_discriminant() == order.reduced_discriminant() == root
+
+    def test_fixtures(self, order_p11, order_p31, order_p19):
+        for order in (order_p11, order_p31, order_p19):
+            assert order.lattice.hnf[0] > 1
+            self.check(order)
+
+    @pytest.mark.parametrize("a, p, c1, c2", SATURATED_CASES)
+    def test_saturated_cases(self, a, p, c1, c2):
+        self.check(saturated_order(a, p, c1, c2))
+
+    def test_grid_seeds_and_their_saturations(self):
+        scaled = 0
+        for seed in grid_seeds():
+            maximal = extend_to_maximal(seed)
+            self.check(seed)
+            self.check(maximal)
+            scaled += maximal.lattice.hnf[0] > 1
+        assert scaled > 0
 
 
 class TestOrderFromPair:
@@ -185,6 +224,16 @@ class TestSaturationMatchesScanOracle:
             assert maximal.reduced_discriminant() == discriminant_by_gram(expected) \
                 == Order(maximal.lattice).reduced_discriminant() == seed.algebra.p
 
+    @pytest.mark.slow
+    def test_whole_grid(self):
+        """All 540 seeds: p <= 47 and c1, c2 in 1..6 (about 30 s; `pytest -m slow`)."""
+        count = 0
+        for seed in grid_seeds(per_prime=36):
+            expected = saturate_by_scan(seed.lattice)
+            assert extend_to_maximal(seed).lattice.canonical_basis == expected.canonical_basis
+            count += 1
+        assert count == 540
+
     def test_adjoin(self, alg19):
         """Each unchecked order from _adjoin is the oracle's closure and a full Order."""
         orders = [Order(standard_lattice(alg19))]
@@ -192,8 +241,8 @@ class TestSaturationMatchesScanOracle:
         built = 0
         for order in orders:
             for q in (2, 3):
-                for x in _integral_cosets(order, q):
-                    closed = _adjoin(order, x)
+                for y, x in zip(_integral_cosets(order, q), integral_cosets(order, q)):
+                    closed = _adjoin(order, y, q)
                     expected = adjoin_by_products(order.lattice, x)
                     assert (closed and closed.lattice) == expected
                     if closed is not None:
@@ -206,10 +255,9 @@ class TestSaturationMatchesScanOracle:
         orders += [seed for seed, _ in zip(grid_seeds(), range(12))]
         for order in orders:
             for q in (2, 3, 5):
-                assert list(_integral_cosets(order, q)) \
-                    == integral_cosets_by_scan(order.lattice, q)
+                assert integral_cosets(order, q) == integral_cosets_by_scan(order.lattice, q)
         # (j + k)/2 has norm 38/4: 2 Nrd = 76 is 0 mod q^2 but not mod 2q^2
-        assert (alg19.j + alg19.k) / 2 not in _integral_cosets(orders[0], 2)
+        assert (alg19.j + alg19.k) / 2 not in integral_cosets(orders[0], 2)
 
     def test_trace_gram(self, order_p11, order_p31, order_p19):
         for order in (order_p11, order_p31, order_p19):
