@@ -97,30 +97,22 @@ def plucker_lift(a1: int, a2: int, a3: int) -> CoeffMatrix:
         if a3 == 0:
             return CoeffMatrix(((0, 0, 0), (0, 0, 0)))
         return CoeffMatrix(((0, a3, 0), (0, 0, -1)))
-    g, u, v = xgcd(a1, a2)
-    c11 = g
-    c22 = -(a1 // g)
-    c23 = -(a2 // g)
-    # particular solution of a2*c12 - a1*c13 = g*a3: (c12, c13) = a3*(v, -u)
-    c12 = v * a3
-    c13 = -u * a3
+    g, _, v = xgcd(a1, a2)
+    # v * a3 solves a2*c12 = g*a3 modulo a1; c13 follows from c12
     if a1 != 0:
-        step = abs(a1) // g
-        shift = c12 // step
-        c12 -= shift * step
+        c12 = v * a3 % (abs(a1) // g)
         c13 = (a2 * c12 - g * a3) // a1
     else:
-        c12 = (g * a3) // a2
-        c13 = 0
-    return CoeffMatrix(((c11, c12, c13), (0, c22, c23)))
+        c12, c13 = g * a3 // a2, 0
+    return CoeffMatrix(((g, c12, c13), (0, -(a1 // g), -(a2 // g))))
 
 
 def endo_to_sublattice(order: Order, alpha: Quaternion) -> SublatticePair:
     """Rank-2 Gross sublattice pair reconstructing a trace-zero element.
 
-    Requires alpha in the order with trace zero and norm divisible by p; the
-    returned pair satisfies the reconstruction identity exactly and has
-    determinant 4*Nrd(alpha).
+    Requires a nonzero alpha in the order with trace zero and norm divisible
+    by p; the returned pair satisfies the reconstruction identity exactly and
+    has determinant 4*Nrd(alpha).
     """
     p = order.algebra.p
     if not order.contains(alpha):
@@ -130,6 +122,8 @@ def endo_to_sublattice(order: Order, alpha: Quaternion) -> SublatticePair:
     norm = alpha.reduced_norm()
     if norm % p != 0:
         raise NormError(f"Nrd = {norm} is not divisible by p = {p}")
+    if not alpha:
+        raise DegeneratePair("the zero element has no rank-2 sublattice")
     triple = trace_zero_commutator_basis(order)
     coords = Lattice(order.algebra, triple).coords_of(alpha)
     if coords is None:
@@ -137,9 +131,7 @@ def endo_to_sublattice(order: Order, alpha: Quaternion) -> SublatticePair:
             "element is not in the trace-zero sublattice of the commutator ideal")
     coeff = plucker_lift(*coords)
     b = order.gross_basis()
-    (c11, c12, c13), (c21, c22, c23) = coeff.rows
-    g1 = c11 * b[0] + c12 * b[1] + c13 * b[2]
-    g2 = c21 * b[0] + c22 * b[1] + c23 * b[2]
+    g1, g2 = (c1 * b[0] + c2 * b[1] + c3 * b[2] for c1, c2, c3 in coeff.rows)
     prod = g1 * g2.conjugate()
     rebuilt = prod / 2 - prod.reduced_trace() / 4
     if rebuilt != alpha:
@@ -153,7 +145,9 @@ def search_elements(order: Order, trace: int, norm: int) -> list[Quaternion]:
     Writes x = (trace + g)/2 with g in the Gross lattice of norm
     4*norm - trace^2 and enumerates g exactly with the integer kernel
     `forms.representations` on the Gross Gram form.  For the normalized
-    basis {1, a_i}, g = sum c_i (2 a_i - Trd a_i) and s = sum c_i Trd(a_i),
+    basis {1, a_i} with trace Gram T (`Order.trace_gram`), Trd(a_i) = T_0i
+    and b_i = 2 a_i - Trd(a_i) has (1/2) Trd(b_i conj(b_j)) = 2 T_ij - T_0i T_0j,
+    which is the form.  For g = sum c_i b_i and s = sum c_i Trd(a_i),
     x = (trace - s)/2 + sum c_i a_i lies in the order iff trace - s is even.
     It always is, as Nrd(g) = 4 Nrd(y) - s^2 for y = sum c_i a_i; an odd
     value raises AlgebraInconsistency.  The empty list is a valid result.
@@ -164,9 +158,9 @@ def search_elements(order: Order, trace: int, norm: int) -> list[Quaternion]:
     one, *units = order.normalized_basis()
     if target == 0:  # 4 * norm = trace^2 makes trace even
         return [one * (trace // 2)]
-    b = order.gross_basis()
-    form = TernaryForm.from_gram([[inner(u, v) for v in b] for u in b])
-    traces = [a.reduced_trace().numerator for a in units]
+    (_, *traces), *rows = order.trace_gram()
+    form = TernaryForm.from_gram([[2 * g - u * v for g, v in zip(row[1:], traces)]
+                                  for row, u in zip(rows, traces)])
     found = []
     for coeffs in representations(form, target):
         twice_scalar = trace - sum(c * t for c, t in zip(coeffs, traces))

@@ -96,7 +96,10 @@ def load_fixture(name_or_path: str) -> FixtureConfig:
         path = Path(name_or_path)
         if not path.exists():
             raise FileNotFoundError(f"no builtin case or fixture file: {name_or_path}")
-        text = path.read_text("utf-8")
+        try:
+            text = path.read_text("utf-8")
+        except OSError as exc:  # a directory, or a file we may not read
+            raise MalformedInput(f"cannot read fixture file {path}: {exc.strerror}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -10,18 +10,19 @@ compound of G.  Dividing by the content (the gcd of the six coefficients)
 leaves a primitive positive definite form Q, and a sublattice of determinant
 content * n exists iff Q represents n.
 
-Every fact about a form's shape comes from one completed square.  With
-P = 4AB - D^2, R = 2AF - DE and Delta = P(4AC - E^2) - R^2 = 16 A det(Gram),
+A form's shape comes from one completed square.  With P = 4AB - D^2,
+R = 2AF - DE and Delta = P(4AC - E^2) - R^2 = 16 A det(Gram),
 
     4AP Q(x, y, z) = P (2Ax + Dy + Ez)^2 + (Py + Rz)^2 + Delta z^2.
 
-The form is positive definite iff A, P, Delta > 0 (Sylvester's criterion:
-A, P/4 and Delta/16A are the leading minors of its Gram matrix).  Dividing
-by 4AP gives the rational diagonalization, and the integer identity drives
-representation testing and counting: the vectors with Q <= n lie in exact
-`isqrt` bounds on z, then y, then 2Ax + Dy + Ez (Fincke and Pohst, Math.
-Comp. 44, 1985; Cohen, GTM 138, 2.7.3), and the solutions of Q = n come
-from an exact integer square test on the innermost coordinate.
+Definiteness is Sylvester's criterion on the integer Gram matrix of 2Q
+(`linalg.is_positive_definite`), whose leading minors are 2A, P and
+Delta/2A.  Dividing by 4AP gives the rational diagonalization, and the
+integer identity drives representation testing and counting: the vectors
+with Q <= n lie in exact `isqrt` bounds on z, then y, then 2Ax + Dy + Ez
+(Fincke and Pohst, Math. Comp. 44, 1985; Cohen, GTM 138, 2.7.3), and the
+solutions of Q = n come from an exact integer square test on the innermost
+coordinate.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from math import gcd, isqrt
 
 from .errors import DefinitenessError, IntegralityError, require_fields, scalar_field
 from .lattice import GramMatrix
+from .linalg import is_positive_definite
 from .orders import Order
 from .reduction import greedy_reduce
 
@@ -64,8 +66,7 @@ class TernaryForm:
         return [[2 * a, d, e], [d, 2 * b, f], [e, f, 2 * c]]
 
     def is_positive_definite(self) -> bool:
-        p, _, delta = _completed_square(self)
-        return self.a > 0 and p > 0 and delta > 0
+        return is_positive_definite(self.doubled_gram())
 
     def content(self) -> int:
         return gcd(*(abs(c) for c in self.coefficients()))
@@ -142,7 +143,10 @@ class DiagonalData:
 
 
 def _completed_square(form: TernaryForm) -> tuple[int, int, int]:
-    """(P, R, Delta) of 4AP Q = P (2Ax + Dy + Ez)^2 + (Py + Rz)^2 + Delta z^2."""
+    """(P, R, Delta) of 4AP Q = P (2Ax + Dy + Ez)^2 + (Py + Rz)^2 + Delta z^2
+    for a positive definite form; DefinitenessError otherwise."""
+    if not form.is_positive_definite():
+        raise DefinitenessError("form is not positive definite")
     a, b, c, d, e, f = form.coefficients()
     p = 4 * a * b - d * d
     r = 2 * a * f - d * e
@@ -155,8 +159,6 @@ def diagonalize_form(form: TernaryForm) -> DiagonalData:
     d = (A, P/4A, Delta/4AP) and r = (D/2A, E/2A, R/P), read off the
     completed square.
     """
-    if not form.is_positive_definite():
-        raise DefinitenessError("form is not positive definite")
     a = form.a
     p, r, delta = _completed_square(form)
     return DiagonalData(Fraction(a), Fraction(p, 4 * a), Fraction(delta, 4 * a * p),
@@ -172,13 +174,10 @@ def _columns(form: TernaryForm, bound: int):
     lazily; y ascends.  Raises DefinitenessError unless A, P and Delta are
     positive.
     """
-    if not form.is_positive_definite():
-        raise DefinitenessError("form is not positive definite")
-    a = form.a
     p, r, delta = _completed_square(form)
     if bound < 0:
         return
-    top = 4 * a * p * bound
+    top = 4 * form.a * p * bound
     z_max = isqrt(top // delta)
     for k in range(2 * z_max + 1):
         z = (k + 1) // 2 if k % 2 else -(k // 2)
@@ -268,14 +267,9 @@ def exterior_square_form(gram: GramMatrix) -> tuple[int, TernaryForm]:
         [g[i][k] * g[j][l] - g[i][l] * g[j][k] for (k, l) in pairs]
         for (i, j) in pairs
     ]
-    coeffs = [
-        compound[0][0], compound[1][1], compound[2][2],
-        2 * compound[0][1], 2 * compound[0][2], 2 * compound[1][2],
-    ]
-    ints = [int(c) for c in coeffs]
-    content = gcd(*(abs(c) for c in ints))
-    primitive = TernaryForm(*(c // content for c in ints))
-    return content, primitive
+    coeffs = [int(compound[i][i]) for i in range(3)] + [int(2 * compound[i][j]) for i, j in pairs]
+    content = gcd(*coeffs)
+    return content, TernaryForm(*(c // content for c in coeffs))
 
 
 def order_form(order: Order) -> tuple[int, TernaryForm]:

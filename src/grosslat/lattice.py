@@ -15,11 +15,12 @@ last row: each pivot must divide exactly and the residual must vanish.
 Membership, coordinates (mapped into the lattice's own basis when that is
 not H / s) and the index are this solve.  In rank 4, H is lower triangular
 and det H is the product of its pivots, so the Gram determinant is
-(ap det H)^2 / s^8 for the norm form (1, a, p, ap).  Closure and
-integrality read the integer rows s * b_i of the basis: two rows multiply
-to an integer m with b_i * b_j = m / s^2 (`products_outside`), and
-`basis_is_integral` reads Trd and Nrd off each row.  Lower-rank
-determinants and Minkowski reduction use the integer Gram s^2 G of H.
+(ap det H)^2 / s^8 for the norm form (1, a, p, ap).  Closure, integrality
+and the Gram matrix read the integer rows s * b_i of the basis: two rows
+multiply to an integer m with b_i * b_j = m / s^2 (`products_outside`),
+`basis_is_integral` reads Trd and Nrd off each row, and `gram` is their
+integer Gram over s^2.  Lower-rank determinants and Minkowski reduction use
+the integer Gram s^2 G of H.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import AlgebraMismatch, ContainmentError, EmptyLatticeInput, RankError
-from .linalg import adjugate, combine_rows, det_fractions, det_int, hnf_rows
+from .linalg import adjugate, combine_rows, det_int, hnf_rows, is_positive_definite
 from .linalg import solve_left  # noqa: F401  (perfbench's tracer patches it in this namespace)
-from .quat import AlgebraParams, Quaternion, inner, mul_coords, rat_str
+from .quat import AlgebraParams, Quaternion, mul_coords, rat_str
 from .reduction import greedy_reduce
 
 
@@ -40,11 +41,6 @@ class GramMatrix:
     """Symmetric matrix of pairwise inner products (1/2)Trd(b_i * conj(b_j))."""
 
     entries: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def from_quaternions(cls, basis) -> "GramMatrix":
-        rows = tuple(tuple(inner(u, v) for v in basis) for u in basis)
-        return cls(rows)
 
     @property
     def size(self) -> int:
@@ -55,9 +51,9 @@ class GramMatrix:
         return tuple(self.entries[i][i] for i in range(self.size))
 
     def is_positive_definite(self) -> bool:
-        """Sylvester's criterion: every leading principal minor is positive."""
-        return all(det_fractions([list(row[:k]) for row in self.entries[:k]]) > 0
-                   for k in range(1, self.size + 1))
+        """Sylvester's criterion on the entries times their common denominator."""
+        den = lcm(*(e.denominator for row in self.entries for e in row))
+        return is_positive_definite([[int(e * den) for e in row] for row in self.entries])
 
     def is_integral(self) -> bool:
         return all(e.denominator == 1 for row in self.entries for e in row)
@@ -216,7 +212,10 @@ class Lattice:
     # -- invariants ----------------------------------------------------------
 
     def gram(self) -> GramMatrix:
-        return GramMatrix.from_quaternions(self.basis)
+        """Inner products (1/2) Trd(b_i * conj(b_j)) of the lattice's own basis."""
+        scale, rows = self._rows
+        return GramMatrix(tuple(tuple(Fraction(g, scale * scale) for g in row)
+                                for row in integer_gram(self.algebra, rows)))
 
     def pivot_product(self) -> int:
         """Product of the pivots of H; det H in rank 4, where H is triangular."""
@@ -267,7 +266,7 @@ class Lattice:
             raise RankError("reduction is only supported up to rank 3")
         scale, rows = self.hnf
         gram = integer_gram(self.algebra, rows)
-        if not all(det_int([row[:k] for row in gram[:k]]) > 0 for k in range(1, self.rank + 1)):
+        if not is_positive_definite(gram):
             raise RankError("Gram matrix is not positive definite")
         weights = norm_weights(self.algebra)
         vecs = []

@@ -3,15 +3,12 @@
 Integer routines carry the package.  The Hermite normal form is the stored
 form of every lattice, and membership is back-substitution on it.  The
 determinant serves the index, lower-rank lattice determinants, the trace
-dual, Sylvester's criterion and Cramer's rule in reduction.  The adjugate
-serves only the trace dual (`Order.norm_p_ideal`) and the change from the
-HNF to a lattice's own basis when the two differ.  Two rational routines
-remain.  `det_fractions` gives the leading minors of a rational Gram matrix
-in `GramMatrix.is_positive_definite`; the tests and the benchmark
-(`perfbench/workloads.py`) import it too.
-`solve_left` has no caller in the package: the tests use it as an
-independent oracle for integer membership, and the benchmark's tracer
-(`perfbench`) imports and patches it under this name.  Primality is a
+dual and Cramer's rule in reduction; the adjugate serves the trace dual
+(`Order.norm_p_ideal`) and the change from the HNF to a lattice's own basis.
+`is_positive_definite` is the one definiteness test.  The rational routines
+have no caller here: the tests and the benchmark (`perfbench`) import
+`det_fractions`, and `solve_left` is the tests' membership oracle, which
+the benchmark's tracer patches under this name.  Primality is a
 deterministic Miller-Rabin test, refused above the bound where it is proved.
 """
 
@@ -146,6 +143,19 @@ def det_int(matrix: list[list[int]]) -> int:
         return 1
     return sum((-1) ** j * a * det_int([row[:j] + row[j + 1:] for row in matrix[1:]])
                for j, a in enumerate(matrix[0]) if a)
+
+
+def is_positive_definite(matrix: list[list[int]]) -> bool:
+    """Sylvester's criterion: the pivots of fraction-free (Bareiss) elimination
+    are the leading principal minors, so all of them must be positive."""
+    m, prev = [list(row) for row in matrix], 1
+    for k, top in enumerate(m):
+        if top[k] <= 0:
+            return False
+        for row in m[k + 1:]:
+            row[k:] = [(top[k] * x - row[k] * y) // prev for x, y in zip(row[k:], top[k:])]
+        prev = top[k]
+    return True
 
 
 def adjugate(matrix: list[list[int]]) -> list[list[int]]:

@@ -83,6 +83,14 @@ def order_p19(fixture_p19):
     return fixture_p19.order()
 
 
+@pytest.fixture(scope="session")
+def maximal_orders(order_p11, order_p19, order_p31):
+    """The shipped orders, SATURATED_CASES and the saturations of the grid seeds."""
+    return ([order_p11, order_p19, order_p31]
+            + [saturated_order(*case) for case in SATURATED_CASES]
+            + [extend_to_maximal(seed) for seed in grid_seeds()])
+
+
 def random_quat(rng: random.Random, algebra, span: int = 8, dens=(1, 1, 2, 3, 6)):
     def coord():
         return Fraction(rng.randint(-span, span), rng.choice(dens))

@@ -56,6 +56,12 @@ class TestVerifyOrder:
         code, _, err = run_cli(capsys, "verify-order", "--config", "/no/such/file.json")
         assert code == 1
 
+    def test_directory_refused(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "verify-order", "--config", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert str(tmp_path) in json.loads(err)["error"]
+
 
 class TestReproduce:
     @pytest.mark.parametrize("case", ["p11", "p31", "p19"])
@@ -104,6 +110,14 @@ class TestCorrespond:
     def test_missing_payload(self, capsys):
         code, _, err = run_cli(capsys, "correspond", "to-endo", "--case", "p11")
         assert code == 1
+
+    def test_zero_element_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys, "correspond", "to-sublattice", "--case", "p11",
+            "--element", '["0","0","0","0"]')
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "the zero element has no rank-2 sublattice"
 
 
 class TestMalformedInput:

@@ -99,6 +99,16 @@ class TestTraceZeroBasis:
             assert sol is not None and all(c.denominator == 1 for c in sol)
         assert found > 0
 
+    def test_integer_brackets_match_fraction_products(self, maximal_orders):
+        for order in maximal_orders:
+            _, a1, a2, a3 = order.normalized_basis()
+            c23 = commutator(a2, a3)
+            brackets = [commutator(a1, a2), commutator(a1, a3), c23, a1 * c23]
+            assert commutator_basis(order) == Lattice.from_generators(order.algebra, brackets)
+            b1, b2, b3 = order.gross_basis()
+            assert trace_zero_commutator_basis(order) == (
+                (b1 * b2 - b2 * b1) / 4, (b1 * b3 - b3 * b1) / 4, (b2 * b3 - b3 * b2) / 4)
+
     def test_fourth_generator_has_nonzero_trace(self, order_p11, order_p31, order_p19):
         for order in (order_p11, order_p31, order_p19):
             _, a1, a2, a3 = order.normalized_basis()

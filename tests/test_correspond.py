@@ -4,6 +4,7 @@ from math import isqrt
 
 import pytest
 
+from grosslat import correspond
 from grosslat import (
     TernaryForm,
     endo_to_sublattice,
@@ -116,6 +117,11 @@ class TestEndoToSublattice:
         with pytest.raises(MembershipError):
             endo_to_sublattice(order_p11, order_p11.algebra.i / 7)
 
+    def test_zero_element_refused(self, order_p11, order_p19):
+        for order in (order_p11, order_p19):
+            with pytest.raises(DegeneratePair, match="zero element"):
+                endo_to_sublattice(order, order.algebra.quat())
+
     def test_round_trip_randomized(self, order_p11, order_p19):
         rng = random.Random(502)
         for order in (order_p11, order_p19):
@@ -194,9 +200,28 @@ def half_lifts(order, trace, norm):
     if target == 0:
         return [order.algebra.scalar(F(trace, 2))]
     b = order.gross_basis()
-    form = TernaryForm.from_gram([[inner(u, v) for v in b] for u in b])
     return [(trace + c1 * b[0] + c2 * b[1] + c3 * b[2]) / 2
-            for c1, c2, c3 in representations(form, target)]
+            for c1, c2, c3 in representations(fraction_gross_form(order), target)]
+
+
+def fraction_gross_form(order):
+    """The Gross form from Fraction inner products of the Gross basis."""
+    b = order.gross_basis()
+    return TernaryForm.from_gram([[inner(u, v) for v in b] for u in b])
+
+
+def test_gross_form_read_off_trace_gram(maximal_orders, monkeypatch):
+    """search_elements enumerates on 2 T_ij - T_0i T_0j, the Fraction Gross Gram."""
+    forms = []
+
+    def record(form, n):
+        forms.append(form)
+        return iter(())
+
+    monkeypatch.setattr(correspond, "representations", record)
+    for order in maximal_orders:
+        assert search_elements(order, 0, order.algebra.p) == []
+        assert forms.pop() == fraction_gross_form(order)
 
 
 @pytest.fixture(scope="module")

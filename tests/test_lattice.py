@@ -6,7 +6,8 @@ import pytest
 from grosslat import GramMatrix, Lattice, TernaryForm, trace_zero_commutator_basis
 from grosslat.errors import AlgebraMismatch, ContainmentError, EmptyLatticeInput, RankError
 from grosslat.lattice import cleared_rows, row_quaternion
-from grosslat.linalg import det_fractions, det_int, solve_left
+from grosslat.linalg import det_fractions, det_int, is_positive_definite, solve_left
+from grosslat.quat import inner
 
 from conftest import random_order_element, random_quat, random_unimodular
 from fraction_enum import ldl
@@ -410,10 +411,18 @@ class TestGramAndDet:
                             for k in range(1, n + 1))
             factors = ldl(m)
             assert (factors is not None) == sylvester, m
+            assert is_positive_definite(m) == sylvester
             assert GramMatrix(tuple(tuple(F(x) for x in row) for row in m)) \
                 .is_positive_definite() == sylvester
+            halved = GramMatrix(tuple(tuple(F(x, 2) for x in row) for row in m))
+            assert halved.is_positive_definite() == sylvester
             if n == 3:
-                assert TernaryForm.from_gram(m).is_positive_definite() == sylvester
+                form = TernaryForm.from_gram(m)
+                a, b, c, d, e, f = form.coefficients()
+                p = 4 * a * b - d * d
+                delta = p * (4 * a * c - e * e) - (2 * a * f - d * e) ** 2
+                assert (a > 0 and p > 0 and delta > 0) == sylvester
+                assert form.is_positive_definite() == sylvester
             if factors is None:
                 continue
             definite += 1
@@ -423,6 +432,35 @@ class TestGramAndDet:
                      for j in range(n)] for i in range(n)] == m
         singular = sum(det_fractions(m) == 0 for m in matrices)
         assert 0 < definite < len(matrices) and singular > 0
+
+
+class TestIntegerGram:
+    """gram() (the integer Gram of the basis rows over s^2) against Fraction
+    inner products, in the lattice's own basis order."""
+
+    @staticmethod
+    def assert_matches_inner(lat):
+        basis = lat.basis
+        assert lat.gram().entries == tuple(tuple(inner(u, v) for v in basis) for u in basis)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_canonical_and_unimodular_bases(self, alg11, rank):
+        rng = random.Random(270 + rank)
+        scaled = 0
+        for _ in range(8):
+            given = random_lattice(rng, alg11, rank)
+            canonical = Lattice.from_generators(alg11, given.basis)
+            scaled += canonical.hnf[0] > 1
+            for lat in (given, canonical, transformed(canonical, random_unimodular(rng, rank))):
+                self.assert_matches_inner(lat)
+        assert scaled
+
+    def test_orders_minkowski_and_commutator_bases(self, maximal_orders):
+        for order in maximal_orders:
+            gross = order.gross_lattice()
+            triple = Lattice(order.algebra, trace_zero_commutator_basis(order))
+            for lat in (order.lattice, gross, gross.minkowski_reduced(), triple):
+                self.assert_matches_inner(lat)
 
 
 class TestGrossImage:
@@ -531,5 +569,5 @@ class TestSerialization:
         assert Lattice.from_dict(data) == order_p11.lattice
 
     def test_gram_strings(self, alg11):
-        g = GramMatrix.from_quaternions(gross_basis_p11(alg11))
+        g = Lattice(alg11, gross_basis_p11(alg11)).gram()
         assert g.to_strings()[1] == ["1", "15", "-7"]
