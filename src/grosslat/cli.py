@@ -8,6 +8,9 @@ The size arguments are capped (LIMITS): --ell and --norm at 10^6 and
 --ell-max at 500, far above the paper's tables (ell <= 50).  Enumeration
 time grows with them: at the caps, on a 2-vCPU machine, `represents` on
 x^2 + y^2 + z^2 takes about 7 s and an equivalence table on p31 about 4 s.
+It grows with the form's skew too: `represents` caps its (y, z) columns
+(`forms.column_bound`) at 5.7 * 10^6, above x^2+y^2+z^2+xy+xz+yz at 10^6,
+the largest box of a reduced form (Hermite: A^3 <= 2 det G).
 A larger value is refused with LimitExceeded before any work starts, as is
 a fixture algebra with a > 10^12 or p above the proved range of the
 primality test (AlgebraParams).
@@ -22,11 +25,11 @@ import sys
 from .correspond import endo_to_sublattice, pair_determinant, search_elements, sublattice_to_endo
 from .errors import LimitExceeded, MalformedInput
 from .fixtures import BUILTIN_CASES, FixtureConfig, load_fixture
-from .forms import TernaryForm, order_form, represents
+from .forms import TernaryForm, column_bound, order_form, represents
 from .quat import rat_str
 
 
-LIMITS = {"ell": 10**6, "norm": 10**6, "ell_max": 500}
+LIMITS = {"ell": 10**6, "norm": 10**6, "ell_max": 500, "columns": 5_700_000}
 
 
 def _check_limits(args) -> None:
@@ -162,6 +165,8 @@ def cmd_equivalence(config: FixtureConfig, ell_max: int) -> tuple[dict, bool]:
 
 
 def cmd_represents(form: TernaryForm, n: int) -> tuple[dict, bool]:
+    if n >= 0 and (columns := column_bound(form, n)) > LIMITS["columns"]:
+        raise LimitExceeded(f"{columns} (y, z) columns, at most {LIMITS['columns']}")
     witness = represents(form, n)
     report = {
         "command": "represents",

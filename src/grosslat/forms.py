@@ -190,6 +190,13 @@ def _columns(form: TernaryForm, bound: int):
             yield y, z, (rest - u * u) // p
 
 
+def column_bound(form: TernaryForm, n: int) -> int:
+    """Bound (2 z_max + 1)(2 isqrt(4APn) // P + 2) on the (y, z) pairs of `_columns`, n >= 0."""
+    p, _, delta = _completed_square(form)
+    top = 4 * form.a * p * n
+    return (2 * isqrt(top // delta) + 1) * (2 * isqrt(top) // p + 2)
+
+
 def representations(form: TernaryForm, n: int):
     """Yield every integer triple v with Q(v) = n, in witness order.
 

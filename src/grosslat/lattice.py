@@ -15,12 +15,12 @@ last row: each pivot must divide exactly and the residual must vanish.
 Membership, coordinates (mapped into the lattice's own basis when that is
 not H / s) and the index are this solve.  In rank 4, H is lower triangular
 and det H is the product of its pivots, so the Gram determinant is
-(ap det H)^2 / s^8 for the norm form (1, a, p, ap).  Closure, integrality
-and the Gram matrix read the integer rows s * b_i of the basis: two rows
-multiply to an integer m with b_i * b_j = m / s^2 (`products_outside`),
-`basis_is_integral` reads Trd and Nrd off each row, and `gram` is their
-integer Gram over s^2.  Lower-rank determinants and Minkowski reduction use
-the integer Gram s^2 G of H.
+(ap det H)^2 / s^8 for the norm form (1, a, p, ap).  Two rows of H
+multiply to an integer m with b_i * b_j = m / s^2; six such products decide
+closure (`_products_outside`).  `basis_is_integral` reads Trd and Nrd off
+the rows s * b_i of the lattice's own basis, and `gram` is their integer
+Gram over s^2.  Lower-rank determinants and Minkowski reduction use the
+integer Gram s^2 G of H.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ class Lattice:
         # basis = change * H / s with det(change) = +-1, so change^-1 = +-adj(change)
         change = [self._solve(row, scale) for row in rows]
         if change != [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]:
-            det = det_int(change)
-            self._from_hnf = [[det * e for e in row] for row in adjugate(change)]
+            det, adj = adjugate(change)
+            self._from_hnf = [[det * e for e in row] for row in adj]
 
     # -- construction -----------------------------------------------------
 
@@ -180,19 +180,19 @@ class Lattice:
     def contains(self, x: Quaternion) -> bool:
         return self.coords_of(x) is not None
 
-    def products_outside(self):
-        """Yield each product of basis vectors that is not in the lattice.
+    def _products_outside(self):
+        """Yield as the row m = s^2 * (b_i * b_j) each product, 1 <= i <= j, of
+        the HNF basis H / s that is outside; i runs in the outer loop.
 
-        A product u * v is yielded as the integer row m = s^2 * (u * v), for
-        s the lcm of the denominators of the basis; u runs over the basis in
-        the outer loop, v in the inner one.  The lattice is closed under
-        multiplication iff nothing is yielded.
+        For b_0 = 1 and integral Trd(b_i) the lattice is closed iff nothing is
+        yielded: b_j b_i = Trd(b_i) b_j + Trd(b_j) b_i - Trd(b_i conj b_j) -
+        b_i b_j, with Trd(b_i conj b_j) = Trd(b_i) Trd(b_j) - Trd(b_i b_j).
         """
-        scale, rows = self._rows
+        scale, rows = self.hnf
         a, p = self.algebra.a, self.algebra.p
         den = scale * scale
-        for u in rows:
-            for v in rows:
+        for i, u in enumerate(rows[1:], 1):
+            for v in rows[i:]:
                 m = mul_coords(a, p, u, v)
                 if self._solve(m, den) is None:
                     yield m

@@ -1,13 +1,13 @@
 """Exact integer and rational linear algebra for small (rank <= 4) problems.
 
 Integer routines carry the package.  The Hermite normal form is the stored
-form of every lattice, and membership is back-substitution on it.  The
-determinant serves the index, lower-rank lattice determinants, the trace
-dual and Cramer's rule in reduction; the adjugate serves the trace dual
-(`Order.norm_p_ideal`) and the change from the HNF to a lattice's own basis.
-`is_positive_definite` is the one definiteness test.  The rational routines
-have no caller here: the tests and the benchmark (`perfbench`) import
-`det_fractions`, and `solve_left` is the tests' membership oracle, which
+form of every lattice, and membership is back-substitution on it.  One
+fraction-free elimination (Bareiss, Math. Comp. 22, 1968) gives the
+determinant (index, lower-rank determinants, trace dual, Cramer's rule in
+reduction), the one definiteness test, and as Gauss-Jordan the adjugate
+(trace dual in `Order.norm_p_ideal`, the HNF to a lattice's own basis).
+The rational routines have no caller here: the tests and the benchmark
+import `det_fractions`; `solve_left` is the tests' membership oracle, which
 the benchmark's tracer patches under this name.  Primality is a
 deterministic Miller-Rabin test, refused above the bound where it is proved.
 """
@@ -137,36 +137,52 @@ def combine_rows(coeffs, rows) -> list[int]:
     return [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows[0]))]
 
 
+def _bareiss(m: list[list[int]], jordan: bool) -> tuple[int, list[int]]:
+    """Fraction-free elimination on the rows m, in place: step k clears column
+    k below the pivot (and above it when `jordan`) by the exact division of
+    pivot * row - row[k] * pivot row by the last pivot.  A zero pivot is
+    swapped with a lower row, or ends the run.  Returns the swap count and the
+    pivots: with no swap, the leading principal minors; the last is +-det."""
+    n, prev, swaps, pivots = len(m), 1, 0, []
+    for k in range(n):
+        if not m[k][k]:
+            sel = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if sel is None:
+                return swaps, [*pivots, 0]
+            m[k], m[sel], swaps = m[sel], m[k], swaps + 1
+        top = m[k]
+        for row in m if jordan else m[k + 1:]:
+            if row is not top:
+                row[k:] = [(top[k] * x - row[k] * y) // prev for x, y in zip(row[k:], top[k:])]
+        prev = top[k]
+        pivots.append(prev)
+    return swaps, pivots
+
+
 def det_int(matrix: list[list[int]]) -> int:
-    """Determinant of a small square integer matrix by cofactor expansion."""
-    if not matrix:
-        return 1
-    return sum((-1) ** j * a * det_int([row[:j] + row[j + 1:] for row in matrix[1:]])
-               for j, a in enumerate(matrix[0]) if a)
+    """Determinant of a square integer matrix (`_bareiss`)."""
+    swaps, pivots = _bareiss([list(row) for row in matrix], jordan=False)
+    return (-1) ** swaps * pivots[-1] if pivots else 1
 
 
 def is_positive_definite(matrix: list[list[int]]) -> bool:
-    """Sylvester's criterion: the pivots of fraction-free (Bareiss) elimination
-    are the leading principal minors, so all of them must be positive."""
-    m, prev = [list(row) for row in matrix], 1
-    for k, top in enumerate(m):
-        if top[k] <= 0:
-            return False
-        for row in m[k + 1:]:
-            row[k:] = [(top[k] * x - row[k] * y) // prev for x, y in zip(row[k:], top[k:])]
-        prev = top[k]
-    return True
+    """Sylvester's criterion: the leading principal minors, the pivots of
+    `_bareiss` when it makes no swap, must all be positive."""
+    swaps, pivots = _bareiss([list(row) for row in matrix], jordan=False)
+    return not swaps and all(d > 0 for d in pivots)
 
 
-def adjugate(matrix: list[list[int]]) -> list[list[int]]:
-    """Adjugate of a square integer matrix: matrix * adj = det * identity."""
+def adjugate(matrix: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(det, adj) of a nonsingular square integer matrix: matrix * adj = det * identity.
+
+    Gauss-Jordan on [matrix | I] ends at [d I | d matrix^-1], d = (-1)^swaps det."""
     n = len(matrix)
-    return [
-        [(-1) ** (i + j) * det_int([row[:i] + row[i + 1:]
-                                    for k, row in enumerate(matrix) if k != j])
-         for j in range(n)]
-        for i in range(n)
-    ]
+    m = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(matrix)]
+    swaps, pivots = _bareiss(m, jordan=True)
+    if 0 in pivots:
+        raise ValueError("the adjugate is only computed for a nonsingular matrix")
+    sign = (-1) ** swaps
+    return sign * (pivots[-1] if pivots else 1), [[sign * e for e in row[n:]] for row in m]
 
 
 def det_fractions(matrix: list[list[Fraction]]) -> Fraction:

@@ -11,8 +11,8 @@ norm divisible by p is p times the trace dual of O.
 A non-maximal order is enlarged by scanning the cosets of (1/q)O over O
 for integral elements whose adjunction shrinks the discriminant.  For
 y = sum c_i b_i, the element y/q is integral iff q | sum c_i Trd(b_i) and
-2q^2 | c^T T c, since Trd(y) = sum c_i Trd(b_i) and 2 Nrd(y) = c^T T c.
-Cosets and closure stay integer rows; no quaternion is built on the way.
+2q^2 | c^T T c, since Trd(y) = sum c_i Trd(b_i) and 2 Nrd(y) = c^T T c;
+the scan solves the first for c_3.  Cosets and closure stay integer rows.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from itertools import product
 
 from .errors import (AlgebraInconsistency, IntegralityError, LiftError, NotAnOrder, NotMaximal,
                      RankError, SaturationError)
-from .lattice import Lattice, cleared_rows, integer_gram, row_quaternion
-from .linalg import adjugate, combine_rows, det_int, smallest_prime_factor
+from .lattice import Lattice, integer_gram, row_quaternion
+from .linalg import adjugate, combine_rows, smallest_prime_factor
 from .quat import AlgebraParams, Quaternion, gross_map
 
 
@@ -37,11 +37,13 @@ class Order:
             raise RankError(f"an order must have rank 4, got {lattice.rank}")
         if not lattice.contains(lattice.algebra.one):
             raise NotAnOrder("lattice does not contain 1")
+        scale, rows = lattice.hnf  # with 1 in it, the first row spans the meet with Q
+        if rows[0][0] != scale:
+            raise NotAnOrder(f"lattice does not meet Q in exactly Z: it holds 1/{scale // rows[0][0]}")
         if not lattice.basis_is_integral():
             raise NotAnOrder("a basis element is not integral")
-        outside = next(lattice.products_outside(), None)
+        outside = next(lattice._products_outside(), None)
         if outside is not None:
-            scale = cleared_rows(lattice.basis)[0]
             outside = row_quaternion(lattice.algebra, outside, scale * scale)
             raise NotAnOrder(f"not closed under multiplication: {outside} is outside")
         self._adopt(lattice)
@@ -138,10 +140,9 @@ class Order:
         if not self.is_maximal():
             raise NotMaximal("the norm-p ideal requires a maximal order")
         scale, rows = self.lattice.hnf
-        trace_gram = self.trace_gram()
-        det = det_int(trace_gram)
+        det, adj = adjugate(self.trace_gram())
         generators = []
-        for coeffs in adjugate(trace_gram):
+        for coeffs in adj:
             if any(p * c % det for c in coeffs):
                 raise AlgebraInconsistency("p times the dual basis is not in the order")
             generators.append(combine_rows([p * c // det for c in coeffs], rows))
@@ -255,32 +256,33 @@ def _integral_cosets(order: Order, q: int):
     The c run in `product(range(q), repeat=4)` order over the canonical
     basis.  Trd(y) = sum c_i Trd(b_i) and 2 Nrd(y) = c^T T c for the trace
     Gram T, so y/q is integral iff q divides the first and 2q^2 the second.
+    The HNF puts the scalar part of b_3 in [0, 1), so Trd(b_3) is 0 or 1 and
+    the first fixes c_3 when it is 1; when it is 0, every c_3 or none passes.
     """
     scale, rows = order.lattice.hnf
     gram = order.trace_gram()
     traces = [2 * row[0] // scale for row in rows]
     two_q2 = 2 * q * q
-    for coeffs in product(range(q), repeat=4):
-        if not any(coeffs):
-            continue
-        if sum(c * t for c, t in zip(coeffs, traces)) % q:
-            continue
-        if sum(c * sum(g * d for g, d in zip(row, coeffs))
-               for c, row in zip(coeffs, gram)) % two_q2:
-            continue
-        yield combine_rows(coeffs, rows)
+    for head in product(range(q), repeat=3):
+        rest = -sum(c * t for c, t in zip(head, traces)) % q
+        for c3 in (rest,) if traces[3] else () if rest else range(q):
+            coeffs = (*head, c3)
+            if any(coeffs) and not sum(c * sum(g * d for g, d in zip(row, coeffs))
+                                       for c, row in zip(coeffs, gram)) % two_q2:
+                yield combine_rows(coeffs, rows)
 
 
 def _adjoin(order: Order, y, q: int) -> Order | None:
     """The order on the smallest closed lattice containing O and x, or None.
 
     x = y / (sq) is integral (`_integral_cosets`).  Iterated closure on
-    integer rows (`Lattice.products_outside`); bails out when a basis element
+    integer rows (`Lattice._products_outside`); bails out when a basis element
     goes non-integral or the covolume drops below that of a maximal order
     (det Gram < p^2 / 16).  Each round adds a product outside the current
     lattice, so det Gram falls by a factor >= 4 and the floor ends the loop.
-    The lattice returned contains 1, is integral and closed: it becomes an
-    Order without a second check.
+    Once integral, a lattice holding 1 holds no 1/n, so its HNF basis starts
+    with 1 as `_products_outside` requires.  The lattice returned contains 1,
+    is integral and closed: it becomes an Order without a second check.
     """
     p = order.algebra.p
     floor_det = Fraction(p * p, 16)
@@ -292,7 +294,7 @@ def _adjoin(order: Order, y, q: int) -> Order | None:
                                      [*([factor * e for e in row] for row in rows), *extra])
         if lattice.rank != 4 or lattice.det() < floor_det or not lattice.basis_is_integral():
             return None
-        extra = list(lattice.products_outside())
+        extra = list(lattice._products_outside())
         if not extra:
             return Order.__new__(Order)._adopt(lattice)
         factor = lattice.hnf[0]

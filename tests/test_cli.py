@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from grosslat.cli import main
+from grosslat import TernaryForm
+from grosslat.cli import LIMITS, main
+from grosslat.forms import column_bound
 
 
 def run_cli(capsys, *argv):
@@ -252,6 +254,37 @@ class TestLimits:
         report = json.loads(done.stdout)
         assert report["reduced_discriminant"] == 4 * (10**18 + 3)
         assert not report["ok"]
+
+    def test_skewed_form_refused(self):
+        # x^2 + y^2 + z^2 under a unimodular map with entries near 10^6: the
+        # box over (P, R, Delta) holds about 4 * 10^9 (y, z) columns
+        form = '{"A":1000003000002,"B":1000001,"C":1,"D":2000004000,"E":2000002,"F":2000}'
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path_dirs = [src] + [d for d in [os.environ.get("PYTHONPATH")] if d]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_dirs))
+        done = subprocess.run([sys.executable, "-m", "grosslat.cli", "represents",
+                               "--form", form, "--ell", "999"],
+                              capture_output=True, text=True, timeout=30, env=env)
+        assert done.returncode == 1 and done.stdout == ""
+        assert "at most 5700000" in json.loads(done.stderr)["error"]
+
+    @pytest.mark.parametrize("coeffs", [
+        (1, 1, 1, 0, 0, 0), (1, 1, 1, 0, 0, 1), (1, 1, 1, 1, 0, 0), (1, 1, 1, 1, 1, 1)])
+    def test_column_cap_admits_reduced_forms(self, coeffs):
+        # x^2 + y^2 + z^2 + xy + xz + yz has the largest box of any reduced form
+        assert column_bound(TernaryForm(*coeffs), LIMITS["ell"]) <= LIMITS["columns"]
+
+    def test_column_cap_refuses_the_k100_form(self):
+        # x^2 + y^2 + z^2 under a unimodular map with entries near 10^4
+        form = TernaryForm(100030002, 10001, 1, 2000400, 20002, 200)
+        assert column_bound(form, 999) > LIMITS["columns"]
+
+    def test_negative_ell_on_an_indefinite_form(self, capsys):
+        # n < 0 is answered before the form's box (and definiteness) is computed
+        code, out, _ = run_cli(capsys, "represents", "--form",
+                               '{"A":1,"B":1,"C":-1,"D":0,"E":0,"F":0}', "--ell", "-1")
+        assert code == 0
+        assert json.loads(out)["represented"] is False
 
     @pytest.mark.parametrize("argv, mentions", [
         (["represents", "--form", '{"A":1,"B":1,"C":1,"D":0,"E":0,"F":0}',

@@ -14,7 +14,7 @@ from grosslat import (
     represents,
 )
 from grosslat.errors import DefinitenessError, IntegralityError
-from grosslat.forms import _columns, representations
+from grosslat.forms import _columns, column_bound, representations
 from grosslat.lattice import GramMatrix
 
 from fraction_enum import counts_by_value, enumerate_gram_solutions, ldl
@@ -241,6 +241,21 @@ class TestKernelMatchesFractionOracle:
                 seen.append(z)
         assert seen == sorted(seen, key=lambda c: (abs(c), c < 0))
         assert len(seen) == 2 * max(seen) + 1 > 3
+
+    def test_column_bound(self):
+        """column_bound is an upper bound on the columns _columns yields, and
+        grows with the skew of equivalent forms."""
+        rng = random.Random(611)
+        forms = [Q11, Q31, Q19] + [random_definite_form(rng) for _ in range(6)]
+        forms += [f.transformed(unimodular(rng)) for f in forms]
+        for form in forms:
+            for n in (0, 1, 7, 60, 400):
+                assert sum(1 for _ in _columns(form, n)) <= column_bound(form, n)
+        cube = TernaryForm(1, 1, 1, 0, 0, 0)
+        skewed = TernaryForm(100030002, 10001, 1, 2000400, 20002, 200)
+        assert canonical_reduced_form(skewed) == cube
+        assert column_bound(cube, 10**6) == 4006002
+        assert column_bound(skewed, 999) > 10**7 > column_bound(cube, 999)
 
     def test_edge_inputs(self):
         assert representation_counts(Q11, 0) == [1]

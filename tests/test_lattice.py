@@ -5,12 +5,13 @@ import pytest
 
 from grosslat import GramMatrix, Lattice, TernaryForm, trace_zero_commutator_basis
 from grosslat.errors import AlgebraMismatch, ContainmentError, EmptyLatticeInput, RankError
-from grosslat.lattice import cleared_rows, row_quaternion
+from grosslat.lattice import row_quaternion
 from grosslat.linalg import det_fractions, det_int, is_positive_definite, solve_left
-from grosslat.quat import inner
+from grosslat.quat import gross_map, inner
 
-from conftest import random_order_element, random_quat, random_unimodular
+from conftest import grid_seeds, random_order_element, random_quat, random_unimodular
 from fraction_enum import ldl
+from saturation_scan import products_outside_by_fractions
 
 F = Fraction
 
@@ -211,10 +212,10 @@ class TestIntegerMembership:
 
 
 def products_outside(lattice):
-    """Lattice.products_outside as quaternions: each row m is s^2 (u * v)."""
-    scale = cleared_rows(lattice.basis)[0]
+    """Lattice._products_outside as quaternions: each row m is s^2 (b_i * b_j)."""
+    scale = lattice.hnf[0]
     return [row_quaternion(lattice.algebra, m, scale * scale)
-            for m in lattice.products_outside()]
+            for m in lattice._products_outside()]
 
 
 class TestBackSubstitution:
@@ -259,33 +260,54 @@ class TestBackSubstitution:
 
 
 class TestIntegerClosureAndDet:
-    """products_outside and det (cleared integer rows) against Fraction
-    products with contains, and against det_fractions of the Gram matrix."""
+    """_products_outside (the products b_i * b_j, 1 <= i <= j, of the HNF basis)
+    against Fraction products with contains; its closure verdict against all
+    16 products (`products_outside_by_fractions`) on lattices that hold 1 and
+    have integral traces; det against det_fractions of the Gram matrix."""
+
+    def check_closure(self, lat) -> bool:
+        basis = lat.canonical_basis
+        assert basis[0] == lat.algebra.one
+        found = products_outside(lat)
+        assert found == [u * v for i, u in enumerate(basis) if i for v in basis[i:]
+                         if not lat.contains(u * v)]
+        assert not any(lat.contains(x) for x in found)
+        assert (not found) == (not products_outside_by_fractions(lat))
+        return not found
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-    def test_random_lattices(self, alg11, rank):
+    def test_random_lattices(self, alg11, order_p11, rank):
         rng = random.Random(230 + rank)
-        for _ in range(10):
+        verdicts = set()
+        for _ in range(20):
             lat = random_lattice(rng, alg11, rank)
-            expected = [u * v for u in lat.basis for v in lat.basis
-                        if not lat.contains(u * v)]
-            assert products_outside(lat) == expected
             assert lat.det() == det_fractions([list(r) for r in lat.gram().entries])
+            # 1 and rank - 1 elements with integral trace: elements x of an order,
+            # some scaled, and (2x - Trd(x))/d, whose norm may be fractional
+            while True:
+                basis = [alg11.one]
+                for _ in range(rank - 1):
+                    x = random_order_element(rng, order_p11, span=3)
+                    d = rng.choice((1, 2, 3))
+                    basis.append(d * x if rng.random() < 0.5 else gross_map(x) / d)
+                if rational_rank([list(b.coords) for b in basis]) == rank:
+                    break
+            verdicts.add(self.check_closure(Lattice(alg11, basis)))
+        assert verdicts == {True} if rank == 1 else False in verdicts
 
-    def test_orders_and_suborders(self, order_p11, order_p31, order_p19):
+    def test_orders_and_suborders(self, maximal_orders):
         rng = random.Random(235)
         mixed = 0
-        for order in (order_p11, order_p31, order_p19):
-            assert not list(order.lattice.products_outside())
+        orders = [*maximal_orders[:12], *(seed for seed, _ in zip(grid_seeds(), range(12)))]
+        for order in orders:
+            assert self.check_closure(order.lattice)
             for _ in range(4):
                 scales = [1] + [rng.choice((1, 2, 3)) for _ in range(3)]
                 sub = Lattice(order.algebra, [c * b for c, b in
-                                              zip(scales, order.lattice.basis)])
-                products = [u * v for u in sub.basis for v in sub.basis]
-                expected = [x for x in products if not sub.contains(x)]
-                assert products_outside(sub) == expected
+                                              zip(scales, order.lattice.canonical_basis)])
+                closed = self.check_closure(sub)
                 assert sub.det() == det_fractions([list(r) for r in sub.gram().entries])
-                mixed += 0 < len(expected) < len(products)
+                mixed += not closed and len(products_outside(sub)) < 6
         assert mixed > 0
 
 

@@ -22,8 +22,8 @@ from grosslat.errors import (
     RankError,
 )
 from grosslat.lattice import row_quaternion
-from grosslat.linalg import det_fractions, det_int
-from grosslat.orders import Order, _adjoin, _integral_cosets
+from grosslat.linalg import det_fractions, det_int, smallest_prime_factor
+from grosslat.orders import Order, _adjoin, _enlarge_once, _integral_cosets
 
 from conftest import SATURATED_CASES, grid_seeds, saturated_order
 from norm_scan import norm_p_ideal_by_scan
@@ -68,6 +68,18 @@ class TestIsOrder:
         lat = Lattice.from_generators(
             alg19, [alg19.one, alg19.i / 2, alg19.j, alg19.k])
         assert not is_order(lat)
+
+    @pytest.mark.parametrize("scalar, message", [
+        (F(1, 2), "does not meet Q in exactly Z: it holds 1/2"),
+        (F(1, 6), "does not meet Q in exactly Z: it holds 1/6"),
+        (2, "does not contain 1"),
+    ])
+    def test_must_meet_q_in_z(self, alg19, scalar, message):
+        # Z/n holds 1 but also the non-integral 1/n; 2Z misses 1
+        lat = Lattice.from_generators(alg19, [scalar * alg19.one, alg19.i, alg19.j, alg19.k])
+        assert not is_order(lat)
+        with pytest.raises(NotAnOrder, match=message):
+            Order(lat)
 
     def test_fixture_lattice_is_order(self, order_p11):
         assert is_order(order_p11.lattice)
@@ -250,14 +262,35 @@ class TestSaturationMatchesScanOracle:
                         built += 1
         assert built > 0
 
-    def test_integral_cosets(self, alg19, order_p11, order_p31, order_p19):
+    def test_integral_cosets(self, alg19, order_p11, order_p31, order_p19, fixture_p31):
+        """The scan solves the trace congruence for c_3: Trd(b_3) is 0 or 1,
+        and there is one c_3 when it is 1, every c_3 or none when it is 0.
+        Both branches are compared with the Fraction scan, at q = 5 and 13
+        along the saturation of Z<alpha, 3i> to the shipped p31 order too."""
+        branches = set()
+
+        def check(order, q):
+            scale, rows = order.lattice.hnf
+            assert 2 * rows[3][0] in (0, scale)
+            branches.add((q, 2 * rows[3][0] // scale))
+            assert integral_cosets(order, q) == integral_cosets_by_scan(order.lattice, q)
+
         orders = [Order(standard_lattice(alg19)), order_p11, order_p31, order_p19]
         orders += [seed for seed, _ in zip(grid_seeds(), range(12))]
-        for order in orders:
-            for q in (2, 3, 5):
-                assert integral_cosets(order, q) == integral_cosets_by_scan(order.lattice, q)
+        for k, order in enumerate(orders):
+            for q in (2, 3, 5, 7) if k < 8 else (2, 3, 5):
+                check(order, q)
         # (j + k)/2 has norm 38/4: 2 Nrd = 76 is 0 mod q^2 but not mod 2q^2
         assert (alg19.j + alg19.k) / 2 not in integral_cosets(orders[0], 2)
+        order = order_from_pair(fixture_p31.alpha, 3 * fixture_p31.algebra.i)
+        steps = []
+        while not order.is_maximal():
+            q = smallest_prime_factor(order.reduced_discriminant() // 31)
+            check(order, q)
+            steps.append(q)
+            order = _enlarge_once(order, q)
+        assert steps == [5, 13] and order == fixture_p31.order()
+        assert {(7, 0), (7, 1), (5, 0), (13, 1)} <= branches
 
     def test_trace_gram(self, order_p11, order_p31, order_p19):
         for order in (order_p11, order_p31, order_p19):
