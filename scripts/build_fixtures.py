@@ -37,7 +37,7 @@ def freeze(label, order, alpha, ell):
     assert order.contains(alpha)
     assert alpha.reduced_trace() == p
     assert alpha.reduced_norm() == ell * p
-    gram = order.gross_lattice().minkowski_reduced().gram()
+    gram = order.reduced_gross_lattice().gram()
     content, form = order_form(order)
     assert content == 4 * p
     assert represents(form, ell) is None

@@ -27,11 +27,10 @@ from .correspond import (
     sublattice_to_endo,
 )
 from .forms import (
-    DiagonalData,
     TernaryForm,
     canonical_reduced_form,
-    diagonalize_form,
     exterior_square_form,
+    gross_form,
     order_form,
     representation_counts,
     represents,
@@ -60,11 +59,10 @@ __all__ = [
     "plucker_lift",
     "search_elements",
     "sublattice_to_endo",
-    "DiagonalData",
     "TernaryForm",
     "canonical_reduced_form",
-    "diagonalize_form",
     "exterior_square_form",
+    "gross_form",
     "order_form",
     "representation_counts",
     "represents",

@@ -7,10 +7,12 @@ the exit status is 0 iff every check passed.
 The size arguments are capped (LIMITS): --ell and --norm at 10^6 and
 --ell-max at 500, far above the paper's tables (ell <= 50).  Enumeration
 time grows with them: at the caps, on a 2-vCPU machine, `represents` on
-x^2 + y^2 + z^2 takes about 7 s and an equivalence table on p31 about 4 s.
-It grows with the form's skew too: `represents` caps its (y, z) columns
-(`forms.column_bound`) at 5.7 * 10^6, above x^2+y^2+z^2+xy+xz+yz at 10^6,
-the largest box of a reduced form (Hermite: A^3 <= 2 det G).
+x^2 + y^2 + z^2 takes about 7 s and an equivalence table on p31 about
+0.3 s.  It grows with a form's skew too.  The order verbs enumerate on the
+reduced Gross form (`forms.gross_form`), so a skewed fixture basis costs
+them nothing; a form given to `represents` has its (y, z) columns
+(`forms.column_bound`) capped at 5.7 * 10^6, above x^2+y^2+z^2+xy+xz+yz
+at 10^6, the largest box of a reduced form (Hermite: A^3 <= 2 det G).
 A larger value is refused with LimitExceeded before any work starts, as is
 a fixture algebra with a > 10^12 or p above the proved range of the
 primality test (AlgebraParams).
@@ -25,7 +27,7 @@ import sys
 from .correspond import endo_to_sublattice, pair_determinant, search_elements, sublattice_to_endo
 from .errors import LimitExceeded, MalformedInput
 from .fixtures import BUILTIN_CASES, FixtureConfig, load_fixture
-from .forms import TernaryForm, column_bound, order_form, represents
+from .forms import TernaryForm, column_bound, gross_form, order_form, represents
 from .quat import rat_str
 
 
@@ -48,8 +50,7 @@ def _check(name: str, expected, actual) -> dict:
 def cmd_verify_order(config: FixtureConfig) -> tuple[dict, bool]:
     order = config.order()
     disc = order.reduced_discriminant()
-    gross = order.gross_lattice()
-    reduced = gross.minkowski_reduced()
+    reduced = order.reduced_gross_lattice()
     gram = reduced.gram()
     checks = [
         _check("is_order", True, True),
@@ -64,14 +65,14 @@ def cmd_verify_order(config: FixtureConfig) -> tuple[dict, bool]:
                              [str(v) for v in expected["gross_gram_diagonal"]],
                              [rat_str(v) for v in gram.diagonal]))
     if "gross_det" in expected:
-        checks.append(_check("gross_det", str(expected["gross_det"]), rat_str(gross.det())))
+        checks.append(_check("gross_det", str(expected["gross_det"]), rat_str(reduced.det())))
     ok = all(c["pass"] for c in checks)
     report = {
         "command": "verify-order",
         "label": config.label,
         "reduced_discriminant": disc,
         "gross_gram": gram.to_strings(),
-        "gross_det": rat_str(gross.det()),
+        "gross_det": rat_str(reduced.det()),
         "checks": checks,
         "ok": ok,
     }
@@ -147,9 +148,10 @@ def cmd_equivalence(config: FixtureConfig, ell_max: int) -> tuple[dict, bool]:
     order = config.order()
     p = config.algebra.p
     content, form = order_form(order)
+    gross = gross_form(order)
     rows = []
     for ell in range(1, ell_max + 1):
-        endo = bool(search_elements(order, 0, ell * p))
+        endo = represents(gross, 4 * ell * p) is not None
         rep = represents(form, ell) is not None
         rows.append({"ell": ell, "endo_exists": endo,
                      "form_represents": rep, "agree": endo == rep})

@@ -28,7 +28,7 @@ from .errors import (
     NormError,
     TraceError,
 )
-from .forms import TernaryForm, representations
+from .forms import gross_form, representations
 from .lattice import Lattice
 from .linalg import xgcd
 from .orders import Order
@@ -140,35 +140,32 @@ def endo_to_sublattice(order: Order, alpha: Quaternion) -> SublatticePair:
 
 
 def search_elements(order: Order, trace: int, norm: int) -> list[Quaternion]:
-    """All x in the order with Trd(x) = trace and Nrd(x) = norm.
+    """All x in the order with Trd(x) = trace and Nrd(x) = norm, sorted by coordinates.
 
-    Writes x = (trace + g)/2 with g in the Gross lattice of norm
-    4*norm - trace^2 and enumerates g exactly with the integer kernel
-    `forms.representations` on the Gross Gram form.  For the normalized
-    basis {1, a_i} with trace Gram T (`Order.trace_gram`), Trd(a_i) = T_0i
-    and b_i = 2 a_i - Trd(a_i) has (1/2) Trd(b_i conj(b_j)) = 2 T_ij - T_0i T_0j,
-    which is the form.  For g = sum c_i b_i and s = sum c_i Trd(a_i),
-    x = (trace - s)/2 + sum c_i a_i lies in the order iff trace - s is even.
-    It always is, as Nrd(g) = 4 Nrd(y) - s^2 for y = sum c_i a_i; an odd
-    value raises AlgebraInconsistency.  The empty list is a valid result.
+    Writes x = (trace + g)/2 for g = sum c_k r_k in the Gross lattice, r_k
+    its reduced basis, and enumerates Nrd(g) = 4*norm - trace^2 exactly with
+    the integer kernel `forms.representations` on `forms.gross_form`.  As
+    g = 2y - Trd(y) for some y in the order, x lies in it iff trace is
+    Trd(y) = Nrd(g) mod 2; the form's cross terms are even, so that reads
+    trace = sum c_k Nrd(r_k) mod 2 off its diagonal.  It always holds, as
+    Nrd(g) = 4*norm - trace^2; an odd value raises AlgebraInconsistency.
+    The empty list is a valid result.
     """
     target = 4 * norm - trace * trace
     if norm < 0 or target < 0:
         return []
-    one, *units = order.normalized_basis()
     if target == 0:  # 4 * norm = trace^2 makes trace even
-        return [one * (trace // 2)]
-    (_, *traces), *rows = order.trace_gram()
-    form = TernaryForm.from_gram([[2 * g - u * v for g, v in zip(row[1:], traces)]
-                                  for row, u in zip(rows, traces)])
+        return [order.algebra.one * (trace // 2)]
+    form = gross_form(order)
+    basis = order.reduced_gross_lattice().basis
+    diagonal = (form.a, form.b, form.c)
     found = []
     for coeffs in representations(form, target):
-        twice_scalar = trace - sum(c * t for c, t in zip(coeffs, traces))
-        if twice_scalar % 2:
+        if (trace - sum(c * n for c, n in zip(coeffs, diagonal))) % 2:
             raise AlgebraInconsistency(f"(trace + g)/2 escaped the order at g = {coeffs}")
-        x = one * (twice_scalar // 2)
-        for c, a in zip(coeffs, units):
-            x = x + c * a
-        found.append(x)
+        twice = trace
+        for c, r in zip(coeffs, basis):
+            twice = twice + c * r
+        found.append(twice / 2)
     found.sort(key=lambda q: q.coords)
     return found

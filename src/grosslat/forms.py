@@ -115,33 +115,6 @@ def _form_from_doubled_gram(m2) -> TernaryForm:
     return TernaryForm(*(int(v) // 2 for v in diagonal), *(int(v) for v in cross))
 
 
-@dataclass(frozen=True)
-class DiagonalData:
-    """Completed-square data: d1 (x + r12 y + r13 z)^2 + d2 (y + r23 z)^2 + d3 z^2."""
-
-    d1: Fraction
-    d2: Fraction
-    d3: Fraction
-    r12: Fraction
-    r13: Fraction
-    r23: Fraction
-
-    @property
-    def diagonal(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.d1, self.d2, self.d3)
-
-    def reconstruct(self) -> TernaryForm:
-        """Expand the diagonal data back into the original form (exactly)."""
-        m = [
-            [self.d1, self.d1 * self.r12, self.d1 * self.r13],
-            [self.d1 * self.r12, self.d1 * self.r12 ** 2 + self.d2,
-             self.d1 * self.r12 * self.r13 + self.d2 * self.r23],
-            [self.d1 * self.r13, self.d1 * self.r12 * self.r13 + self.d2 * self.r23,
-             self.d1 * self.r13 ** 2 + self.d2 * self.r23 ** 2 + self.d3],
-        ]
-        return TernaryForm.from_gram(m)
-
-
 def _completed_square(form: TernaryForm) -> tuple[int, int, int]:
     """(P, R, Delta) of 4AP Q = P (2Ax + Dy + Ez)^2 + (Py + Rz)^2 + Delta z^2
     for a positive definite form; DefinitenessError otherwise."""
@@ -151,18 +124,6 @@ def _completed_square(form: TernaryForm) -> tuple[int, int, int]:
     p = 4 * a * b - d * d
     r = 2 * a * f - d * e
     return p, r, p * (4 * a * c - e * e) - r * r
-
-
-def diagonalize_form(form: TernaryForm) -> DiagonalData:
-    """Exact completing-the-square diagonalization of a definite form.
-
-    d = (A, P/4A, Delta/4AP) and r = (D/2A, E/2A, R/P), read off the
-    completed square.
-    """
-    a = form.a
-    p, r, delta = _completed_square(form)
-    return DiagonalData(Fraction(a), Fraction(p, 4 * a), Fraction(delta, 4 * a * p),
-                        Fraction(form.d, 2 * a), Fraction(form.e, 2 * a), Fraction(r, p))
 
 
 def _columns(form: TernaryForm, bound: int):
@@ -279,10 +240,20 @@ def exterior_square_form(gram: GramMatrix) -> tuple[int, TernaryForm]:
     return content, TernaryForm(*(c // content for c in coeffs))
 
 
+def gross_form(order: Order) -> TernaryForm:
+    """Norm form Nrd(c1 r1 + c2 r2 + c3 r3) on the order's reduced Gross basis r_k.
+
+    Its Gram matrix is the inner products (1/2) Trd(r_i conj(r_j)), integers
+    on a Gross lattice.  Built once per order, on `Order.reduced_gross_lattice`.
+    """
+    if order._gross_form is None:
+        order._gross_form = TernaryForm.from_gram(order.reduced_gross_lattice().gram().entries)
+    return order._gross_form
+
+
 def order_form(order: Order) -> tuple[int, TernaryForm]:
     """Content and primitive determinant form of an order's reduced Gross lattice."""
-    reduced = order.gross_lattice().minkowski_reduced()
-    return exterior_square_form(reduced.gram())
+    return exterior_square_form(order.reduced_gross_lattice().gram())
 
 
 def canonical_reduced_form(form: TernaryForm) -> TernaryForm:

@@ -30,7 +30,9 @@ from .quat import AlgebraParams, Quaternion, gross_map
 class Order:
     """A verified order; construction raises NotAnOrder when the axioms fail."""
 
-    __slots__ = ("lattice", "_trace_gram", "_discriminant", "_gross_lattice")
+    # _gross_form caches `forms.gross_form`, the norm form on the reduced Gross basis
+    __slots__ = ("lattice", "_trace_gram", "_discriminant", "_gross_lattice", "_reduced_gross",
+                 "_gross_form")
 
     def __init__(self, lattice: Lattice):
         if lattice.rank != 4:
@@ -53,6 +55,7 @@ class Order:
         which has just shown its lattice to hold 1 and be integral and closed."""
         self.lattice = lattice
         self._trace_gram = self._discriminant = self._gross_lattice = None
+        self._reduced_gross = self._gross_form = None
         return self
 
     @property
@@ -125,6 +128,12 @@ class Order:
         if self._gross_lattice is None:
             self._gross_lattice = self.lattice.gross_image()
         return self._gross_lattice
+
+    def reduced_gross_lattice(self) -> Lattice:
+        """The Gross lattice on its Minkowski-reduced basis, computed once per order."""
+        if self._reduced_gross is None:
+            self._reduced_gross = self.gross_lattice().minkowski_reduced()
+        return self._reduced_gross
 
     # -- the ideal of norms divisible by p -----------------------------------
 

@@ -5,8 +5,8 @@ Gram matrix is supplied; in rank <= 3 the greedy algorithm reaches the
 successive minima (Nguyen and Stehle, ACM TALG 5, 2009).  Closest-vector
 subproblems are in dimension <= 2: Cramer's rule, as integer floor division
 by the positive determinant of the normal equations, floors the real
-solution, and a +-2 window around it is scanned, which suffices once the
-smaller basis is itself reduced.  A positive multiple of the Gram matrix
+solution, and the corners of its unit cell are scanned, which suffices once
+the smaller basis is itself reduced.  A positive multiple of the Gram matrix
 (s^2 G, 2G) gives the same transform, so callers stay in integers.
 """
 
@@ -40,9 +40,13 @@ def _sub(u, v, c):
 def _closest_coeffs(gram, head, target):
     """Integer coefficients of a closest vector to target in span(head), |head| <= 2.
 
-    The floor of the real solution is Cramer's rule on the normal
-    equations, with floor division by their positive determinant; the +-2
-    window around it is scanned, ties going to the smaller coefficient tuple.
+    The floor f of the real solution is Cramer's rule on the normal
+    equations, with floor division by their positive determinant.  Only the
+    2^k corners of the cell f + {0, 1}^k are scanned, ties going to the
+    smaller coefficient tuple.  That suffices because `_greedy` hands over a
+    Lagrange-reduced head: |2 <h1, h2>| <= |h1|^2 <= |h2|^2 makes both
+    triangles of the cell non-obtuse, and a point of a non-obtuse lattice
+    triangle is closest to one of its vertices.
     """
     normal = [[_inner(gram, u, v) for v in head] for u in head]
     rhs = [_inner(gram, target, u) for u in head]
@@ -56,7 +60,7 @@ def _closest_coeffs(gram, head, target):
             diff = _sub(diff, h, c)
         return (_norm(gram, diff), coeffs)
 
-    return min(product(*(range(f - 2, f + 3) for f in floors)), key=key)
+    return min(product(*((f, f + 1) for f in floors)), key=key)
 
 
 def _sort_key(gram):

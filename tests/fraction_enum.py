@@ -5,7 +5,7 @@ solves it the older way: an exact rational LDL^T of the Gram matrix,
 centred coordinate ranges for z and y, and a rational square root for x.
 It yields the same triples in the same order (|z|, then |y|, then |x|,
 positive sign first) and is many times slower.  The LDL^T is also the
-oracle for `forms.diagonalize_form` and for the definiteness tests.
+oracle for the completed square of `forms` and for the definiteness tests.
 """
 
 from fractions import Fraction

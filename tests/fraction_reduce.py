@@ -5,8 +5,10 @@ lattice, 2G for a form), with Cramer's rule as integer floor division.
 This module keeps the earlier route: the Gram matrix of Fraction inner
 products, Cramer's rule through `det_fractions` and a Fraction floor, and,
 for lattices and forms, the reduced vectors built as quaternions and sorted
-by their Fraction norms.  The same +-2 window and the same (norm, coeffs)
-tie rule must give the same transform, basis and coefficients.
+by their Fraction norms.  Its closest-vector step scans the +-2 window
+around the floor, where `reduction` scans the corners of the floor cell;
+with the same (norm, coeffs) tie rule both must give the same transform,
+basis and coefficients.
 """
 
 from fractions import Fraction

@@ -6,15 +6,30 @@ from pathlib import Path
 
 import pytest
 
-from grosslat import TernaryForm
-from grosslat.cli import LIMITS, main
+from grosslat import (
+    FixtureConfig,
+    TernaryForm,
+    extend_to_maximal,
+    order_from_pair,
+    search_elements,
+)
+from grosslat.cli import LIMITS, cmd_equivalence, main
 from grosslat.forms import column_bound
+
+from conftest import least_algebra
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_env():
+    """The environment for a `python -m grosslat.cli` subprocess on this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path_dirs = [src] + [d for d in [os.environ.get("PYTHONPATH")] if d]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path_dirs))
 
 
 class TestVerifyOrder:
@@ -243,12 +258,9 @@ class TestLimits:
         data["order_basis"] = [[str(int(i == j)) for j in range(4)] for i in range(4)]
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(data), "utf-8")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path_dirs = [src] + [d for d in [os.environ.get("PYTHONPATH")] if d]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_dirs))
         done = subprocess.run([sys.executable, "-m", "grosslat.cli", "verify-order",
                                "--config", str(path)],
-                              capture_output=True, text=True, timeout=30, env=env)
+                              capture_output=True, text=True, timeout=30, env=cli_env())
         assert "Traceback" not in done.stderr
         assert done.returncode == 1
         report = json.loads(done.stdout)
@@ -259,12 +271,9 @@ class TestLimits:
         # x^2 + y^2 + z^2 under a unimodular map with entries near 10^6: the
         # box over (P, R, Delta) holds about 4 * 10^9 (y, z) columns
         form = '{"A":1000003000002,"B":1000001,"C":1,"D":2000004000,"E":2000002,"F":2000}'
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path_dirs = [src] + [d for d in [os.environ.get("PYTHONPATH")] if d]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_dirs))
         done = subprocess.run([sys.executable, "-m", "grosslat.cli", "represents",
                                "--form", form, "--ell", "999"],
-                              capture_output=True, text=True, timeout=30, env=env)
+                              capture_output=True, text=True, timeout=30, env=cli_env())
         assert done.returncode == 1 and done.stdout == ""
         assert "at most 5700000" in json.loads(done.stderr)["error"]
 
@@ -316,6 +325,48 @@ class TestEquivalence:
     def test_rejects_nonpositive_ell_max(self, capsys):
         code, _, err = run_cli(capsys, "equivalence", "--case", "p11", "--ell-max", "0")
         assert code == 1
+
+
+class TestSkewedOrder:
+    """A maximal order O at p = 193 and its conjugate uOu^-1, whose HNF basis is
+    far from reduced (entries up to about 10^4): the Gross form of that basis
+    skews the enumeration box, the reduced one does not."""
+
+    @pytest.fixture(scope="class")
+    def orders(self):
+        algebra = least_algebra(193)
+        order = extend_to_maximal(order_from_pair(algebra.i, algebra.j))
+        u = algebra.quat(3, 21, 2, 9)
+        u_inv = u.conjugate() / u.reduced_norm()
+        conjugate = FixtureConfig("p193-skew", algebra,
+                                  [u * b * u_inv for b in order.lattice.basis], algebra.one, 1)
+        return order, conjugate, u, u_inv
+
+    def test_search_commutes_with_conjugation(self, orders):
+        order, conjugate, u, u_inv = orders
+        skewed = conjugate.order()
+        for trace, norm in ((0, 193), (0, 3860), (1, 3), (2, 1), (193, 193 * 54), (193, 193 * 69)):
+            found = search_elements(order, trace, norm)
+            assert found, (trace, norm)
+            moved = sorted((u * x * u_inv for x in found), key=lambda q: q.coords)
+            assert search_elements(skewed, trace, norm) == moved, (trace, norm)
+
+    def test_equivalence_rows_agree(self, orders):
+        order, conjugate, _, _ = orders
+        config = FixtureConfig("p193", conjugate.algebra, list(order.lattice.basis),
+                               conjugate.alpha, 1)
+        report, ok = cmd_equivalence(conjugate, 100)
+        assert ok and report["rows"] == cmd_equivalence(config, 100)[0]["rows"]
+
+    def test_full_table_in_seconds(self, orders, tmp_path):
+        _, conjugate, _, _ = orders
+        path = tmp_path / "skew.json"
+        path.write_text(json.dumps(conjugate.to_dict()), "utf-8")
+        done = subprocess.run([sys.executable, "-m", "grosslat.cli", "equivalence",
+                               "--config", str(path), "--ell-max", str(LIMITS["ell_max"])],
+                              capture_output=True, text=True, timeout=60, env=cli_env())
+        assert done.returncode == 0, done.stderr
+        assert len(json.loads(done.stdout)["rows"]) == LIMITS["ell_max"]
 
 
 class TestRepresentsVerb:

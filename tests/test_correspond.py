@@ -210,8 +210,8 @@ def fraction_gross_form(order):
     return TernaryForm.from_gram([[inner(u, v) for v in b] for u in b])
 
 
-def test_gross_form_read_off_trace_gram(maximal_orders, monkeypatch):
-    """search_elements enumerates on 2 T_ij - T_0i T_0j, the Fraction Gross Gram."""
+def test_gross_form_of_reduced_gross_basis(maximal_orders, monkeypatch):
+    """search_elements enumerates on the Fraction Gram of the reduced Gross basis."""
     forms = []
 
     def record(form, n):
@@ -221,7 +221,8 @@ def test_gross_form_read_off_trace_gram(maximal_orders, monkeypatch):
     monkeypatch.setattr(correspond, "representations", record)
     for order in maximal_orders:
         assert search_elements(order, 0, order.algebra.p) == []
-        assert forms.pop() == fraction_gross_form(order)
+        basis = order.reduced_gross_lattice().basis
+        assert forms.pop() == TernaryForm.from_gram([[inner(u, v) for v in basis] for u in basis])
 
 
 @pytest.fixture(scope="module")

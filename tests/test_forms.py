@@ -6,7 +6,6 @@ import pytest
 from grosslat import (
     TernaryForm,
     canonical_reduced_form,
-    diagonalize_form,
     exterior_square_form,
     pair_determinant,
     inner,
@@ -14,7 +13,7 @@ from grosslat import (
     represents,
 )
 from grosslat.errors import DefinitenessError, IntegralityError
-from grosslat.forms import _columns, column_bound, representations
+from grosslat.forms import _columns, _completed_square, column_bound, representations
 from grosslat.lattice import GramMatrix
 
 from fraction_enum import counts_by_value, enumerate_gram_solutions, ldl
@@ -111,45 +110,58 @@ class TestExteriorSquareForm:
             exterior_square_form(gram)
 
 
+def diagonalize(form):
+    """d = (A, P/4A, Delta/4AP) and r = (D/2A, E/2A, R/P) from the completed square."""
+    a = form.a
+    p, r, delta = _completed_square(form)
+    return ((F(a), F(p, 4 * a), F(delta, 4 * a * p)),
+            (F(form.d, 2 * a), F(form.e, 2 * a), F(r, p)))
+
+
+def completes_the_square(form, v):
+    """4AP Q(v) = P (2Ax + Dy + Ez)^2 + (Py + Rz)^2 + Delta z^2 at the integer triple v."""
+    a, _, _, d, e, _ = form.coefficients()
+    p, r, delta = _completed_square(form)
+    x, y, z = v
+    return (4 * a * p * form(x, y, z)
+            == p * (2 * a * x + d * y + e * z) ** 2 + (p * y + r * z) ** 2 + delta * z * z)
+
+
 class TestDiagonalize:
+    """The completed square that `_columns` and `column_bound` run on, and the
+    rational diagonalization it gives, against the rational LDL^T."""
+
     def test_p11_form(self):
-        data = diagonalize_form(Q11)
-        assert data.diagonal == (1, F(3, 4), F(11, 3))
-        assert (data.r12, data.r13, data.r23) == (F(-1, 2), F(-1, 2), F(1, 3))
-        assert data.reconstruct() == Q11
+        assert diagonalize(Q11) == ((1, F(3, 4), F(11, 3)), (F(-1, 2), F(-1, 2), F(1, 3)))
 
     def test_identity_form(self):
-        data = diagonalize_form(TernaryForm(1, 1, 1, 0, 0, 0))
-        assert data.diagonal == (1, 1, 1)
-        assert (data.r12, data.r13, data.r23) == (0, 0, 0)
+        assert diagonalize(TernaryForm(1, 1, 1, 0, 0, 0)) == ((1, 1, 1), (0, 0, 0))
 
     def test_p19_form(self):
-        data = diagonalize_form(Q19)
-        assert data.diagonal == (1, F(7, 4), F(19, 7))
-        assert data.r23 == F(1, 7)
+        diagonal, (_, _, r23) = diagonalize(Q19)
+        assert (diagonal, r23) == ((1, F(7, 4), F(19, 7)), F(1, 7))
 
     def test_p31_form(self):
-        data = diagonalize_form(Q31)
-        assert data.diagonal == (1, F(7, 4), F(31, 7))
-        assert data.r23 == F(3, 7)
+        diagonal, (_, _, r23) = diagonalize(Q31)
+        assert (diagonal, r23) == ((1, F(7, 4), F(31, 7)), F(3, 7))
 
     def test_round_trip_randomized(self):
         rng = random.Random(602)
         for _ in range(25):
             form = random_definite_form(rng)
-            assert diagonalize_form(form).reconstruct() == form
+            for _ in range(20):
+                v = tuple(rng.randint(-9, 9) for _ in range(3))
+                assert completes_the_square(form, v), (form, v)
 
     def test_rejects_indefinite(self):
         with pytest.raises(DefinitenessError):
-            diagonalize_form(TernaryForm(1, -1, 1, 0, 0, 0))
+            _completed_square(TernaryForm(1, -1, 1, 0, 0, 0))
 
     def test_matches_rational_ldl(self):
         rng = random.Random(602)  # the forms of test_round_trip_randomized
         for form in [random_definite_form(rng) for _ in range(25)] + [Q11, Q31, Q19]:
             low, diag = ldl(form.gram())
-            data = diagonalize_form(form)
-            assert data.diagonal == tuple(diag)
-            assert (data.r12, data.r13, data.r23) == (low[1][0], low[2][0], low[2][1])
+            assert diagonalize(form) == (tuple(diag), (low[1][0], low[2][0], low[2][1]))
 
 
 class TestRepresents:

@@ -2,13 +2,15 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from grosslat import Lattice, TernaryForm, canonical_reduced_form, extend_to_maximal
+from grosslat import reduction
 from grosslat.forms import order_form
 from grosslat.linalg import det_int
-from grosslat.reduction import greedy_reduce
+from grosslat.reduction import _inner, _norm, greedy_reduce
 
 from conftest import SATURATED_CASES, grid_seeds, random_unimodular, saturated_order
 from fraction_reduce import (
@@ -25,6 +27,33 @@ TIED = [
     [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[2, 1, 1], [1, 2, 1], [1, 1, 2]],
     [[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [[2, 0, 1], [0, 2, 1], [1, 1, 5]],
 ]
+
+
+# Rank-3 lattices with large symmetry groups: the cubic Z^3, the root
+# lattices A3 and D3 on other bases, and the body-centred cubic A3*.
+SYMMETRIC = [
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+    [[2, 0, 1], [0, 2, -1], [1, -1, 2]], [[3, -1, -1], [-1, 3, -1], [-1, -1, 3]],
+]
+
+
+def closest_in_window(gram, head, target):
+    """Closest vector over the +-2 window around the floor of the real solution,
+    ties to the smaller coefficient tuple: the scan that `_closest_coeffs`
+    narrowed to the corners of the floor cell."""
+    normal = [[_inner(gram, u, v) for v in head] for u in head]
+    rhs = [_inner(gram, target, u) for u in head]
+    det = det_int(normal)
+    floors = [det_int([row[:k] + [b] + row[k + 1:] for row, b in zip(normal, rhs)]) // det
+              for k in range(len(head))]
+
+    def key(coeffs):
+        diff = target
+        for c, h in zip(coeffs, head):
+            diff = [a - c * b for a, b in zip(diff, h)]
+        return (_norm(gram, diff), coeffs)
+
+    return min(product(*(range(f - 2, f + 3) for f in floors)), key=key)
 
 
 def congruent(gram, rows):
@@ -61,6 +90,28 @@ class TestGreedyReduce:
             norms = [congruent(gram, [row])[0][0] for row in expected]
             tied += len(set(norms)) < len(norms)
         assert tied > 40
+
+    def test_corners_match_window(self, monkeypatch):
+        """Every closest-vector call of a reduction, on unimodular images of random
+        Grams and of SYMMETRIC, against the full window."""
+        corners = reduction._closest_coeffs
+        calls, mismatches = [0], []
+
+        def checked(gram, head, target):
+            found = corners(gram, head, target)
+            calls[0] += 1
+            if found != closest_in_window(gram, head, target):
+                mismatches.append((gram, head, target))
+            return found
+
+        monkeypatch.setattr(reduction, "_closest_coeffs", checked)
+        rng = random.Random(708)
+        while calls[0] < 20_000:
+            rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
+            for gram in (congruent(SYMMETRIC[0], rows), rng.choice(SYMMETRIC)):
+                if is_definite(gram):
+                    greedy_reduce(congruent(gram, random_unimodular(rng, 3)))
+        assert mismatches == []
 
     @pytest.mark.parametrize("scale", [2, 3, 6])
     def test_scaled_gram_gives_same_transform(self, scale):
