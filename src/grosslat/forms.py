@@ -17,8 +17,9 @@ R = 2AF - DE and Delta = P(4AC - E^2) - R^2 = 16 A det(Gram),
 
 Definiteness is Sylvester's criterion on the integer Gram matrix of 2Q
 (`linalg.is_positive_definite`), whose leading minors are 2A, P and
-Delta/2A.  Dividing by 4AP gives the rational diagonalization, and the
-integer identity drives representation testing and counting: the vectors
+Delta/2A; the verdict and (P, R, Delta) are computed once per form.
+Dividing by 4AP gives the rational diagonalization, and the integer
+identity drives representation testing and counting: the vectors
 with Q <= n lie in exact `isqrt` bounds on z, then y, then 2Ax + Dy + Ez
 (Fincke and Pohst, Math. Comp. 44, 1985; Cohen, GTM 138, 2.7.3), and the
 solutions of Q = n come from an exact integer square test on the innermost
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 
 from .errors import DefinitenessError, IntegralityError, require_fields, scalar_field
@@ -66,7 +68,18 @@ class TernaryForm:
         return [[2 * a, d, e], [d, 2 * b, f], [e, f, 2 * c]]
 
     def is_positive_definite(self) -> bool:
-        return is_positive_definite(self.doubled_gram())
+        return self._square is not None
+
+    @cached_property
+    def _square(self) -> tuple[int, int, int] | None:
+        """(P, R, Delta) of the completed square, or None when the form is not
+        positive definite; decided once per form."""
+        if not is_positive_definite(self.doubled_gram()):
+            return None
+        a, b, c, d, e, f = self.coefficients()
+        p = 4 * a * b - d * d
+        r = 2 * a * f - d * e
+        return p, r, p * (4 * a * c - e * e) - r * r
 
     def content(self) -> int:
         return gcd(*(abs(c) for c in self.coefficients()))
@@ -117,13 +130,12 @@ def _form_from_doubled_gram(m2) -> TernaryForm:
 
 def _completed_square(form: TernaryForm) -> tuple[int, int, int]:
     """(P, R, Delta) of 4AP Q = P (2Ax + Dy + Ez)^2 + (Py + Rz)^2 + Delta z^2
-    for a positive definite form; DefinitenessError otherwise."""
-    if not form.is_positive_definite():
+    for a positive definite form; DefinitenessError otherwise.  Cached on the
+    form (`TernaryForm._square`), so a form asked many times is tested once."""
+    square = form._square
+    if square is None:
         raise DefinitenessError("form is not positive definite")
-    a, b, c, d, e, f = form.coefficients()
-    p = 4 * a * b - d * d
-    r = 2 * a * f - d * e
-    return p, r, p * (4 * a * c - e * e) - r * r
+    return square
 
 
 def _columns(form: TernaryForm, bound: int):

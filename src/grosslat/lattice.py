@@ -6,8 +6,12 @@ that s shares with the entries of H divided out.  The pair (s, H) is unique
 to the lattice, so two lattices are equal iff their pairs coincide, and
 H / s is the canonical basis.  Constructors that canonicalize
 (`Lattice.from_generators`) return that basis; a lattice built on a given
-basis (`Lattice(...)`, Minkowski reduction) keeps its own ordering and the
-inverse of the unimodular change from H / s to it.
+basis (`Lattice(...)`, Minkowski reduction) keeps its own integer rows over
+s, from which its basis quaternions are built when first read, and the
+inverse of the unimodular change from H / s to it (`Lattice._set_basis`).
+Minkowski reduction knows all of these already: it shares (s, H) and the
+pivots with the lattice it reduces, and its change is the sign-flipped,
+sorted transform of the greedy reduction, so it runs no HNF and no solve.
 
 Every query runs on H.  Row i of H ends in a positive pivot in column c_i,
 with c_0 < c_1 < ..., so c * H = y is solved by back-substitution from the
@@ -28,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import AlgebraMismatch, ContainmentError, EmptyLatticeInput, RankError
 from .linalg import adjugate, combine_rows, det_int, hnf_rows, is_positive_definite
@@ -77,12 +82,8 @@ class Lattice:
         # the HNF drops exactly the dependent directions
         if self.rank != len(basis):
             raise RankError("basis vectors are linearly dependent")
-        self._basis, self._rows = basis, (scale, rows)
-        # basis = change * H / s with det(change) = +-1, so change^-1 = +-adj(change)
-        change = [self._solve(row, scale) for row in rows]
-        if change != [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]:
-            det, adj = adjugate(change)
-            self._from_hnf = [[det * e for e in row] for row in adj]
+        self._set_basis(scale, rows, [self._solve(row, scale) for row in rows])
+        self._basis = basis
 
     # -- construction -----------------------------------------------------
 
@@ -110,8 +111,22 @@ class Lattice:
         self.algebra = algebra
         self.hnf = (scale // g, tuple(tuple(e // g for e in row) for row in hnf))
         self._pivots = tuple(max(j for j, e in enumerate(row) if e) for row in hnf)
-        self._rows = self.hnf  # (s, s * basis), kept by __init__ for a given basis
+        self._rows = self.hnf  # (s, s * basis), set by `_set_basis` for a given basis
         self._basis = self._from_hnf = None
+
+    def _set_basis(self, scale: int, rows, change) -> None:
+        """Put the lattice on the basis rows / scale = change * H / s.
+
+        change is unimodular, so change^-1 = det(change) * adj(change) maps
+        coordinates in H / s to coordinates in the new basis; it is kept only
+        when change is not the identity.  The basis quaternions are built
+        lazily from the rows.
+        """
+        self._rows = (scale, rows)
+        self._basis = self._from_hnf = None
+        if change != [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]:
+            det, adj = adjugate(change)
+            self._from_hnf = [[det * e for e in row] for row in adj]
 
     @property
     def rank(self) -> int:
@@ -120,7 +135,7 @@ class Lattice:
     @property
     def basis(self) -> tuple[Quaternion, ...]:
         if self._basis is None:
-            scale, rows = self.hnf
+            scale, rows = self._rows
             self._basis = tuple(row_quaternion(self.algebra, row, scale) for row in rows)
         return self._basis
 
@@ -259,8 +274,11 @@ class Lattice:
         The result spans the same lattice; its Gram diagonal is nondecreasing.
         Ties are broken by coordinate order with the first nonzero coordinate
         of every basis vector made positive.  Integer work on the rows of H
-        and their Gram s^2 G (Sylvester's criterion, then greedy reduction);
-        each output vector becomes a quaternion once.
+        and their Gram s^2 G (Sylvester's criterion, then greedy reduction).
+        The result shares (s, H) and the pivots with this lattice; its rows
+        are the reduced integer rows over s, and its map from coordinates in
+        H / s is the inverse of the sign-flipped, sorted `greedy_reduce`
+        transform.  No quaternion is built until its basis is read.
         """
         if self.rank > 3:
             raise RankError("reduction is only supported up to rank 3")
@@ -269,13 +287,17 @@ class Lattice:
         if not is_positive_definite(gram):
             raise RankError("Gram matrix is not positive definite")
         weights = norm_weights(self.algebra)
-        vecs = []
+        reduced = []
         for t in greedy_reduce(gram):
             v = combine_rows(t, rows)
             sign = 1 if next(c for c in v if c) > 0 else -1
-            vecs.append(tuple(sign * c for c in v))
-        vecs.sort(key=lambda v: (sum(w * c * c for w, c in zip(weights, v)), v))
-        return Lattice(self.algebra, [row_quaternion(self.algebra, v, scale) for v in vecs])
+            reduced.append((sum(w * c * c for w, c in zip(weights, v)), tuple(sign * c for c in v),
+                            tuple(sign * c for c in t)))
+        reduced.sort(key=lambda r: r[:2])
+        lattice = Lattice.__new__(Lattice)
+        lattice.algebra, lattice.hnf, lattice._pivots = self.algebra, self.hnf, self._pivots
+        lattice._set_basis(scale, [v for _, v, _ in reduced], [t for _, _, t in reduced])
+        return lattice
 
     # -- serialization ---------------------------------------------------------
 
@@ -312,8 +334,12 @@ def integer_gram(algebra: AlgebraParams, rows) -> list[list[int]]:
     products (1/2) Trd(b_i * conj(b_j)).
     """
     weights = norm_weights(algebra)
-    weighted = [[n * c for n, c in zip(weights, row)] for row in rows]
-    return [[sum(x * y for x, y in zip(wu, v)) for v in rows] for wu in weighted]
+    gram = [[0] * len(rows) for _ in rows]
+    for i, u in enumerate(rows):
+        wu = [n * c for n, c in zip(weights, u)]
+        for j in range(i, len(rows)):
+            gram[i][j] = gram[j][i] = sum(map(mul, wu, rows[j]))
+    return gram
 
 
 def row_quaternion(algebra: AlgebraParams, row, den: int) -> Quaternion:

@@ -12,13 +12,13 @@ A non-maximal order is enlarged by scanning the cosets of (1/q)O over O
 for integral elements whose adjunction shrinks the discriminant.  For
 y = sum c_i b_i, the element y/q is integral iff q | sum c_i Trd(b_i) and
 2q^2 | c^T T c, since Trd(y) = sum c_i Trd(b_i) and 2 Nrd(y) = c^T T c;
-the scan solves the first for c_3.  Cosets and closure stay integer rows.
+the scan solves the first for c_3 and splits the second at the head
+(c_0, c_1, c_2), so each coset costs a few integer products.  Cosets and
+closure stay integer rows, and the covolume floor that ends a closure is
+an integer comparison.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from itertools import product
 
 from .errors import (AlgebraInconsistency, IntegralityError, LiftError, NotAnOrder, NotMaximal,
                      RankError, SaturationError)
@@ -267,18 +267,30 @@ def _integral_cosets(order: Order, q: int):
     Gram T, so y/q is integral iff q divides the first and 2q^2 the second.
     The HNF puts the scalar part of b_3 in [0, 1), so Trd(b_3) is 0 or 1 and
     the first fixes c_3 when it is 1; when it is 0, every c_3 or none passes.
+    The second is split at the head h = (c_0, c_1, c_2, 0): with v = T h and
+    Q(h) = h . v, c^T T c = Q(h) + c_3 (2 v_3 + T_33 c_3).  The same split at
+    (c_0, c_1, 0, 0) gives v and Q(h) from one row of T per head.
     """
     scale, rows = order.lattice.hnf
     gram = order.trace_gram()
-    traces = [2 * row[0] // scale for row in rows]
+    t0, t1, t2, t3 = (2 * row[0] // scale for row in rows)
+    t22, t23, t33 = gram[2][2], gram[2][3], gram[3][3]
     two_q2 = 2 * q * q
-    for head in product(range(q), repeat=3):
-        rest = -sum(c * t for c, t in zip(head, traces)) % q
-        for c3 in (rest,) if traces[3] else () if rest else range(q):
-            coeffs = (*head, c3)
-            if any(coeffs) and not sum(c * sum(g * d for g, d in zip(row, coeffs))
-                                       for c, row in zip(coeffs, gram)) % two_q2:
-                yield combine_rows(coeffs, rows)
+    for c0 in range(q):
+        for c1 in range(q):
+            u = [c0 * g0 + c1 * g1 for g0, g1 in zip(gram[0], gram[1])]  # T (c0, c1, 0, 0)
+            norm01, twice_u2 = c0 * u[0] + c1 * u[1], 2 * u[2]
+            trace01 = c0 * t0 + c1 * t1
+            for c2 in range(q):
+                rest = -(trace01 + c2 * t2) % q
+                if rest and not t3:
+                    continue
+                c3s = (rest,) if t3 else range(q)
+                norm = norm01 + c2 * (twice_u2 + t22 * c2)
+                twice_v3 = 2 * (u[3] + c2 * t23)
+                for c3 in c3s:
+                    if not (norm + c3 * (twice_v3 + t33 * c3)) % two_q2 and (c0 or c1 or c2 or c3):
+                        yield combine_rows((c0, c1, c2, c3), rows)
 
 
 def _adjoin(order: Order, y, q: int) -> Order | None:
@@ -286,22 +298,24 @@ def _adjoin(order: Order, y, q: int) -> Order | None:
 
     x = y / (sq) is integral (`_integral_cosets`).  Iterated closure on
     integer rows (`Lattice._products_outside`); bails out when a basis element
-    goes non-integral or the covolume drops below that of a maximal order
-    (det Gram < p^2 / 16).  Each round adds a product outside the current
+    goes non-integral or the covolume drops below that of a maximal order:
+    det Gram = (ap det H)^2 / s^8 < p^2 / 16, tested in integers as
+    16 (ap det H)^2 < p^2 s^8.  Each round adds a product outside the current
     lattice, so det Gram falls by a factor >= 4 and the floor ends the loop.
     Once integral, a lattice holding 1 holds no 1/n, so its HNF basis starts
     with 1 as `_products_outside` requires.  The lattice returned contains 1,
     is integral and closed: it becomes an Order without a second check.
     """
-    p = order.algebra.p
-    floor_det = Fraction(p * p, 16)
+    p, ap = order.algebra.p, order.algebra.a * order.algebra.p
     lattice, factor, extra = order.lattice, q, [y]
     while True:
         # the lattice spanned by the last one, over s, and the rows extra over s * factor
         scale, rows = lattice.hnf
         lattice = Lattice._from_rows(order.algebra, scale * factor,
                                      [*([factor * e for e in row] for row in rows), *extra])
-        if lattice.rank != 4 or lattice.det() < floor_det or not lattice.basis_is_integral():
+        if (lattice.rank != 4
+                or 16 * (ap * lattice.pivot_product()) ** 2 < p * p * lattice.hnf[0] ** 8
+                or not lattice.basis_is_integral()):
             return None
         extra = list(lattice._products_outside())
         if not extra:

@@ -32,6 +32,18 @@ def least_algebra(p):
             a += 1
 
 
+def skewed_p193():
+    """(O, u, u^-1): O = extend_to_maximal(Z<i, j>) at p = 193 and u = 3 + 21i + 2j + 9k.
+
+    The conjugate uOu^-1 has an HNF basis far from reduced, entries up to
+    about 10^4.
+    """
+    algebra = least_algebra(193)
+    order = extend_to_maximal(order_from_pair(algebra.i, algebra.j))
+    u = algebra.quat(3, 21, 2, 9)
+    return order, u, u.conjugate() / u.reduced_norm()
+
+
 def grid_seeds(per_prime: int = 3):
     """Z<c1 i, c2 j> for every prime p <= 47 and per_prime seeded (c1, c2) in
     1..6 each; per_prime = 36 is the whole grid of 540 seeds."""

@@ -9,14 +9,12 @@ import pytest
 from grosslat import (
     FixtureConfig,
     TernaryForm,
-    extend_to_maximal,
-    order_from_pair,
     search_elements,
 )
 from grosslat.cli import LIMITS, cmd_equivalence, main
 from grosslat.forms import column_bound
 
-from conftest import least_algebra
+from conftest import skewed_p193
 
 
 def run_cli(capsys, *argv):
@@ -334,10 +332,8 @@ class TestSkewedOrder:
 
     @pytest.fixture(scope="class")
     def orders(self):
-        algebra = least_algebra(193)
-        order = extend_to_maximal(order_from_pair(algebra.i, algebra.j))
-        u = algebra.quat(3, 21, 2, 9)
-        u_inv = u.conjugate() / u.reduced_norm()
+        order, u, u_inv = skewed_p193()
+        algebra = order.algebra
         conjugate = FixtureConfig("p193-skew", algebra,
                                   [u * b * u_inv for b in order.lattice.basis], algebra.one, 1)
         return order, conjugate, u, u_inv

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from grosslat import GramMatrix, Lattice, TernaryForm, trace_zero_commutator_basis
+from grosslat import GramMatrix, Lattice, Order, TernaryForm, trace_zero_commutator_basis
 from grosslat.errors import AlgebraMismatch, ContainmentError, EmptyLatticeInput, RankError
 from grosslat.lattice import row_quaternion
 from grosslat.linalg import det_fractions, det_int, is_positive_definite, solve_left
 from grosslat.quat import gross_map, inner
 
-from conftest import grid_seeds, random_order_element, random_quat, random_unimodular
+from conftest import (grid_seeds, random_order_element, random_quat, random_unimodular,
+                      skewed_p193)
 from fraction_enum import ldl
 from saturation_scan import products_outside_by_fractions
 
@@ -582,6 +583,44 @@ class TestMinkowskiReduce:
             trials += 1
             reduced = lat.minkowski_reduced()
             assert list(reduced.gram().diagonal) == brute_minima(lat)
+
+
+class TestMinkowskiSharesHnf:
+    """The reduced lattice is built from the integer rows, the HNF and the
+    inverse transform the reduction already holds; it must be the lattice
+    that the public constructor builds on the same basis."""
+
+    @staticmethod
+    def assert_same_lattice(reduced, rng):
+        rebuilt = Lattice(reduced.algebra, reduced.basis)
+        assert reduced.basis == rebuilt.basis
+        assert reduced.hnf == rebuilt.hnf
+        assert reduced.gram().entries == rebuilt.gram().entries
+        assert reduced.canonical_basis == rebuilt.canonical_basis
+        assert reduced == rebuilt and hash(reduced) == hash(rebuilt)
+        assert reduced.basis_is_integral() == rebuilt.basis_is_integral()
+        rank = reduced.rank
+        for k, b in enumerate(rebuilt.basis):
+            unit = tuple(int(i == k) for i in range(rank))
+            assert reduced.coords_of(b) == rebuilt.coords_of(b) == unit
+        for _ in range(6):
+            coeffs = tuple(rng.randint(-40, 40) for _ in range(rank))
+            x = combination(rebuilt, coeffs)
+            assert reduced.coords_of(x) == rebuilt.coords_of(x) == coeffs
+            assert reduced.coords_of(x / 3) == rebuilt.coords_of(x / 3)
+
+    def test_maximal_orders(self, maximal_orders):
+        rng = random.Random(1301)
+        for order in maximal_orders:
+            self.assert_same_lattice(order.gross_lattice().minkowski_reduced(), rng)
+
+    def test_skewed_order_and_conjugate(self):
+        order, u, u_inv = skewed_p193()
+        conjugate = Order(Lattice.from_generators(
+            order.algebra, [u * b * u_inv for b in order.lattice.basis]))
+        rng = random.Random(1302)
+        for o in (order, conjugate):
+            self.assert_same_lattice(o.gross_lattice().minkowski_reduced(), rng)
 
 
 class TestSerialization:

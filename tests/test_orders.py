@@ -13,6 +13,7 @@ from grosslat import (
     is_order,
     lift_gross_basis,
     order_from_pair,
+    order_form,
 )
 from grosslat.errors import (
     IntegralityError,
@@ -22,10 +23,10 @@ from grosslat.errors import (
     RankError,
 )
 from grosslat.lattice import row_quaternion
-from grosslat.linalg import det_fractions, det_int, smallest_prime_factor
+from grosslat.linalg import det_fractions, det_int, is_prime, smallest_prime_factor
 from grosslat.orders import Order, _adjoin, _enlarge_once, _integral_cosets
 
-from conftest import SATURATED_CASES, grid_seeds, saturated_order
+from conftest import SATURATED_CASES, grid_seeds, least_algebra, saturated_order
 from norm_scan import norm_p_ideal_by_scan
 from saturation_scan import (
     adjoin_by_products,
@@ -205,6 +206,22 @@ class TestExtendToMaximal:
     def test_standard_p19_lattice_saturates(self, alg19):
         maximal = extend_to_maximal(Order(standard_lattice(alg19)))
         assert maximal.reduced_discriminant() == 19
+
+
+class TestPrimeAxis:
+    """Saturation past the grid's p <= 47: every prime 53 <= p <= 199."""
+
+    @pytest.mark.parametrize("c1, c2", [(1, 1), (2, 3)])
+    def test_saturates_to_a_certified_maximal_order(self, c1, c2):
+        for p in (q for q in range(53, 200) if is_prime(q)):
+            algebra = least_algebra(p)
+            maximal = extend_to_maximal(order_from_pair(c1 * algebra.i, c2 * algebra.j))
+            assert maximal.reduced_discriminant() == p
+            assert Order(maximal.lattice).reduced_discriminant() == p
+            ideal = maximal.norm_p_ideal()
+            assert commutator_basis(maximal) == ideal
+            assert ideal.index_in(maximal.lattice) == p * p
+            assert order_form(maximal)[0] == 4 * p
 
 
 class TestSaturationMatchesScanOracle:
