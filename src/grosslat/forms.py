@@ -8,7 +8,7 @@ G is a quadratic form in the Plucker coordinates
 of the 2x3 coefficient matrix; by Cauchy-Binet its matrix is the second
 compound of G.  Dividing by the content (the gcd of the six coefficients)
 leaves a primitive positive definite form Q, and a sublattice of determinant
-content * n exists iff Q represents n.
+content * n exists iff Q represents n; G is read as integer rows.
 
 A form's shape comes from one completed square.  With P = 4AB - D^2,
 R = 2AF - DE and Delta = P(4AC - E^2) - R^2 = 16 A det(Gram),
@@ -80,9 +80,6 @@ class TernaryForm:
         p = 4 * a * b - d * d
         r = 2 * a * f - d * e
         return p, r, p * (4 * a * c - e * e) - r * r
-
-    def content(self) -> int:
-        return gcd(*(abs(c) for c in self.coefficients()))
 
     def transformed(self, rows) -> "TernaryForm":
         """Form Q(v * U) for an integer substitution with rows U (new vars in rows)."""
@@ -204,10 +201,9 @@ def represents(form: TernaryForm, n: int) -> tuple[int, int, int] | None:
     """A witness triple with Q(x, y, z) = n, or None when no one exists.
 
     The witness is the first solution in the deterministic search order
-    (smallest |z|, then |y|, then |x|, positive sign preferred).
+    (smallest |z|, then |y|, then |x|, positive sign preferred).  Raises
+    DefinitenessError unless the form is positive definite, for every n.
     """
-    if n < 0:
-        return None
     return next(representations(form, n), None)
 
 
@@ -235,19 +231,19 @@ def exterior_square_form(gram: GramMatrix) -> tuple[int, TernaryForm]:
     quartic pair determinant factors through the minors as content * Q with
     Q primitive.
     """
-    if gram.size != 3:
+    if len(gram.rows) != 3:
         raise IntegralityError("second compound needs a 3x3 Gram matrix")
     if not gram.is_integral():
         raise IntegralityError("Gram matrix must be integral")
     if not gram.is_positive_definite():
         raise DefinitenessError("Gram matrix must be positive definite")
-    g = gram.entries
+    g = [[e // gram.den for e in row] for row in gram.rows]
     pairs = ((0, 1), (0, 2), (1, 2))
     compound = [
         [g[i][k] * g[j][l] - g[i][l] * g[j][k] for (k, l) in pairs]
         for (i, j) in pairs
     ]
-    coeffs = [int(compound[i][i]) for i in range(3)] + [int(2 * compound[i][j]) for i, j in pairs]
+    coeffs = [compound[i][i] for i in range(3)] + [2 * compound[i][j] for i, j in pairs]
     content = gcd(*coeffs)
     return content, TernaryForm(*(c // content for c in coeffs))
 
@@ -259,7 +255,10 @@ def gross_form(order: Order) -> TernaryForm:
     on a Gross lattice.  Built once per order, on `Order.reduced_gross_lattice`.
     """
     if order._gross_form is None:
-        order._gross_form = TernaryForm.from_gram(order.reduced_gross_lattice().gram().entries)
+        gram = order.reduced_gross_lattice().gram()
+        if gram.den != 1:
+            raise IntegralityError("Gross Gram matrix must be integral")
+        order._gross_form = TernaryForm.from_gram(gram.rows)
     return order._gross_form
 
 

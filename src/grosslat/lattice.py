@@ -22,9 +22,9 @@ and det H is the product of its pivots, so the Gram determinant is
 (ap det H)^2 / s^8 for the norm form (1, a, p, ap).  Two rows of H
 multiply to an integer m with b_i * b_j = m / s^2; six such products decide
 closure (`_products_outside`).  `basis_is_integral` reads Trd and Nrd off
-the rows s * b_i of the lattice's own basis, and `gram` is their integer
-Gram over s^2.  Lower-rank determinants and Minkowski reduction use the
-integer Gram s^2 G of H.
+the rows s * b_i of the lattice's own basis; `gram` is their integer Gram
+over s^2 in lowest terms.  Lower-rank determinants and Minkowski reduction
+use the integer Gram s^2 G of H.
 """
 
 from __future__ import annotations
@@ -43,25 +43,25 @@ from .reduction import greedy_reduce
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric matrix of pairwise inner products (1/2)Trd(b_i * conj(b_j))."""
+    """Pairwise inner products (1/2)Trd(b_i * conj(b_j)) as integer rows over den > 0."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
+    den: int
 
     @property
-    def size(self) -> int:
-        return len(self.entries)
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(e, self.den) for e in row) for row in self.rows)
 
     @property
     def diagonal(self) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i][i] for i in range(self.size))
+        return tuple(Fraction(row[i], self.den) for i, row in enumerate(self.rows))
 
     def is_positive_definite(self) -> bool:
-        """Sylvester's criterion on the entries times their common denominator."""
-        den = lcm(*(e.denominator for row in self.entries for e in row))
-        return is_positive_definite([[int(e * den) for e in row] for row in self.entries])
+        """Sylvester's criterion on the integer rows (den > 0 keeps every sign)."""
+        return is_positive_definite(self.rows)
 
     def is_integral(self) -> bool:
-        return all(e.denominator == 1 for row in self.entries for e in row)
+        return all(e % self.den == 0 for row in self.rows for e in row)
 
     def to_strings(self) -> list[list[str]]:
         return [[rat_str(e) for e in row] for row in self.entries]
@@ -227,10 +227,11 @@ class Lattice:
     # -- invariants ----------------------------------------------------------
 
     def gram(self) -> GramMatrix:
-        """Inner products (1/2) Trd(b_i * conj(b_j)) of the lattice's own basis."""
+        """Inner products of the lattice's own basis: its rows' integer Gram over s^2, reduced."""
         scale, rows = self._rows
-        return GramMatrix(tuple(tuple(Fraction(g, scale * scale) for g in row)
-                                for row in integer_gram(self.algebra, rows)))
+        gram = integer_gram(self.algebra, rows)
+        g = gcd(scale * scale, *(e for row in gram for e in row))
+        return GramMatrix(tuple(tuple(e // g for e in row) for row in gram), scale * scale // g)
 
     def pivot_product(self) -> int:
         """Product of the pivots of H; det H in rank 4, where H is triangular."""

@@ -24,7 +24,7 @@ from .errors import (AlgebraInconsistency, IntegralityError, LiftError, NotAnOrd
                      RankError, SaturationError)
 from .lattice import Lattice, integer_gram, row_quaternion
 from .linalg import adjugate, combine_rows, smallest_prime_factor
-from .quat import AlgebraParams, Quaternion, gross_map
+from .quat import AlgebraParams, Quaternion
 
 
 class Order:
@@ -120,9 +120,8 @@ class Order:
         return basis
 
     def gross_basis(self) -> tuple[Quaternion, Quaternion, Quaternion]:
-        """Images 2x - Trd(x) of the non-unit normalized basis vectors."""
-        _, a1, a2, a3 = self.normalized_basis()
-        return (gross_map(a1), gross_map(a2), gross_map(a3))
+        """Images 2x - Trd(x) of the non-unit normalized basis vectors, in order."""
+        return self.gross_lattice().basis
 
     def gross_lattice(self) -> Lattice:
         if self._gross_lattice is None:

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from grosslat import AlgebraParams, extend_to_maximal, load_fixture, order_from_pair
+from grosslat import AlgebraParams, Lattice, Order, extend_to_maximal, load_fixture, order_from_pair
 from grosslat.errors import RamificationError
 from grosslat.linalg import is_prime
 
@@ -93,6 +93,14 @@ def order_p31(fixture_p31):
 @pytest.fixture(scope="session")
 def order_p19(fixture_p19):
     return fixture_p19.order()
+
+
+@pytest.fixture(scope="session")
+def skewed_orders():
+    """The skewed p = 193 order O and its conjugate uOu^-1 (`skewed_p193`)."""
+    order, u, u_inv = skewed_p193()
+    return order, Order(Lattice.from_generators(
+        order.algebra, [u * b * u_inv for b in order.lattice.basis]))
 
 
 @pytest.fixture(scope="session")

@@ -287,11 +287,12 @@ class TestLimits:
         assert column_bound(form, 999) > LIMITS["columns"]
 
     def test_negative_ell_on_an_indefinite_form(self, capsys):
-        # n < 0 is answered before the form's box (and definiteness) is computed
-        code, out, _ = run_cli(capsys, "represents", "--form",
-                               '{"A":1,"B":1,"C":-1,"D":0,"E":0,"F":0}', "--ell", "-1")
-        assert code == 0
-        assert json.loads(out)["represented"] is False
+        # (0, 0, 1) represents -1, so "not represented" would be wrong: the
+        # form is refused for every ell, as it is for --ell 1
+        code, out, err = run_cli(capsys, "represents", "--form",
+                                 '{"A":1,"B":1,"C":-1,"D":0,"E":0,"F":0}', "--ell", "-1")
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "form is not positive definite"
 
     @pytest.mark.parametrize("argv, mentions", [
         (["represents", "--form", '{"A":1,"B":1,"C":1,"D":0,"E":0,"F":0}',

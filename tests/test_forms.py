@@ -26,7 +26,7 @@ Q19 = TernaryForm(1, 2, 3, -1, -1, 1)
 
 
 def gram_from_ints(rows):
-    return GramMatrix(tuple(tuple(F(v) for v in row) for row in rows))
+    return GramMatrix(tuple(map(tuple, rows)), 1)
 
 
 def random_definite_form(rng, coeff_bound=10):
@@ -98,9 +98,22 @@ class TestExteriorSquareForm:
                 z = c[0][1] * c[1][2] - c[0][2] * c[1][1]
                 assert pair_determinant(g1, g2) == content * q(x, y, z)
 
+    def test_integer_compound_matches_fraction_inner_products(self, maximal_orders,
+                                                               skewed_orders):
+        pairs = ((0, 1), (0, 2), (1, 2))
+        for order in (*maximal_orders, *skewed_orders):
+            reduced = order.reduced_gross_lattice()
+            basis = reduced.basis
+            g = [[inner(u, v) for v in basis] for u in basis]
+            compound = [[g[i][k] * g[j][l] - g[i][l] * g[j][k] for (k, l) in pairs]
+                        for (i, j) in pairs]
+            coeffs = [compound[i][i] for i in range(3)] + [2 * compound[i][j] for i, j in pairs]
+            content, q = exterior_square_form(reduced.gram())
+            assert content == 4 * order.algebra.p
+            assert [content * c for c in q.coefficients()] == coeffs
+
     def test_rejects_non_integral(self):
-        gram = GramMatrix(tuple(tuple(F(v, 2) for v in row)
-                                for row in [[3, 1, 1], [1, 15, -7], [1, -7, 15]]))
+        gram = GramMatrix(((3, 1, 1), (1, 15, -7), (1, -7, 15)), 2)
         with pytest.raises(IntegralityError):
             exterior_square_form(gram)
 
@@ -181,6 +194,15 @@ class TestRepresents:
 
     def test_zero(self):
         assert represents(Q11, 0) == (0, 0, 0)
+
+    def test_negative_n_on_an_indefinite_form(self):
+        # a definite form represents no n < 0; an indefinite one can, so it
+        # is refused rather than answered: x^2 + y^2 - z^2 takes -1 at (0, 0, 1)
+        assert represents(Q11, -1) is None
+        indefinite = TernaryForm(1, 1, -1, 0, 0, 0)
+        assert indefinite(0, 0, 1) == -1
+        with pytest.raises(DefinitenessError):
+            represents(indefinite, -1)
 
     def test_agrees_with_box_oracle_small(self):
         rng = random.Random(603)

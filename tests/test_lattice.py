@@ -1,16 +1,16 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from grosslat import GramMatrix, Lattice, Order, TernaryForm, trace_zero_commutator_basis
+from grosslat import GramMatrix, Lattice, TernaryForm, trace_zero_commutator_basis
 from grosslat.errors import AlgebraMismatch, ContainmentError, EmptyLatticeInput, RankError
 from grosslat.lattice import row_quaternion
 from grosslat.linalg import det_fractions, det_int, is_positive_definite, solve_left
 from grosslat.quat import gross_map, inner
 
-from conftest import (grid_seeds, random_order_element, random_quat, random_unimodular,
-                      skewed_p193)
+from conftest import grid_seeds, random_order_element, random_quat, random_unimodular
 from fraction_enum import ldl
 from saturation_scan import products_outside_by_fractions
 
@@ -435,10 +435,15 @@ class TestGramAndDet:
             factors = ldl(m)
             assert (factors is not None) == sylvester, m
             assert is_positive_definite(m) == sylvester
-            assert GramMatrix(tuple(tuple(F(x) for x in row) for row in m)) \
-                .is_positive_definite() == sylvester
-            halved = GramMatrix(tuple(tuple(F(x, 2) for x in row) for row in m))
-            assert halved.is_positive_definite() == sylvester
+            # integer rows over den: halved (in lowest terms when an entry
+            # is odd) and scaled by 2 and 6 (not in lowest terms)
+            for scale, den in ((1, 1), (1, 2), (2, 4), (6, 6)):
+                gram = GramMatrix(tuple(tuple(scale * x for x in row) for row in m), den)
+                entries = tuple(tuple(F(scale * x, den) for x in row) for row in m)
+                assert gram.entries == entries
+                assert gram.is_positive_definite() == sylvester
+                assert gram.is_integral() == all(e.denominator == 1 for row in entries for e in row)
+                assert gram.to_strings() == [[str(e) for e in row] for row in entries]
             if n == 3:
                 form = TernaryForm.from_gram(m)
                 a, b, c, d, e, f = form.coefficients()
@@ -464,7 +469,14 @@ class TestIntegerGram:
     @staticmethod
     def assert_matches_inner(lat):
         basis = lat.basis
-        assert lat.gram().entries == tuple(tuple(inner(u, v) for v in basis) for u in basis)
+        products = tuple(tuple(inner(u, v) for v in basis) for u in basis)
+        gram = lat.gram()
+        assert gram.entries == products
+        # integer rows over a positive denominator in lowest terms, read as the Fractions
+        assert gram.den > 0 and gcd(gram.den, *(e for row in gram.rows for e in row)) == 1
+        assert gram.is_integral() == all(e.denominator == 1 for row in products for e in row)
+        assert gram.is_positive_definite()
+        assert gram.to_strings() == [[str(e) for e in row] for row in products]
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_canonical_and_unimodular_bases(self, alg11, rank):
@@ -478,8 +490,8 @@ class TestIntegerGram:
                 self.assert_matches_inner(lat)
         assert scaled
 
-    def test_orders_minkowski_and_commutator_bases(self, maximal_orders):
-        for order in maximal_orders:
+    def test_orders_minkowski_and_commutator_bases(self, maximal_orders, skewed_orders):
+        for order in (*maximal_orders, *skewed_orders):
             gross = order.gross_lattice()
             triple = Lattice(order.algebra, trace_zero_commutator_basis(order))
             for lat in (order.lattice, gross, gross.minkowski_reduced(), triple):
@@ -614,12 +626,9 @@ class TestMinkowskiSharesHnf:
         for order in maximal_orders:
             self.assert_same_lattice(order.gross_lattice().minkowski_reduced(), rng)
 
-    def test_skewed_order_and_conjugate(self):
-        order, u, u_inv = skewed_p193()
-        conjugate = Order(Lattice.from_generators(
-            order.algebra, [u * b * u_inv for b in order.lattice.basis]))
+    def test_skewed_order_and_conjugate(self, skewed_orders):
         rng = random.Random(1302)
-        for o in (order, conjugate):
+        for o in skewed_orders:
             self.assert_same_lattice(o.gross_lattice().minkowski_reduced(), rng)
 
 

@@ -350,14 +350,15 @@ class TestGrossBasisConversion:
         with pytest.raises(LiftError):
             lift_gross_basis(alg19.one + alg19.i, 2 * alg19.j, 2 * alg19.k)
 
-    def test_normalized_basis_shape(self, order_p11, order_p31, order_p19):
-        for order in (order_p11, order_p31, order_p19):
+    def test_normalized_basis_shape(self, maximal_orders, skewed_orders):
+        for order in (*maximal_orders, *skewed_orders):
             one, a1, a2, a3 = order.normalized_basis()
             assert one == order.algebra.one
             for a in (a1, a2, a3):
                 assert 0 <= a.w < 1
+            # the Gross lattice's HNF basis is the images, in order
             images = [gross_map(a) for a in (a1, a2, a3)]
-            assert tuple(images) == order.gross_basis()
+            assert tuple(images) == order.gross_basis() == order.gross_lattice().basis
 
 
 class TestNormPIdeal:
