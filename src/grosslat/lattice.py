@@ -20,10 +20,10 @@ Membership, coordinates (mapped into the lattice's own basis when that is
 not H / s) and the index are this solve.  In rank 4, H is lower triangular
 and det H is the product of its pivots, so the Gram determinant is
 (ap det H)^2 / s^8 for the norm form (1, a, p, ap).  Two rows of H
-multiply to an integer m with b_i * b_j = m / s^2; six such products decide
-closure (`_products_outside`).  `basis_is_integral` reads Trd and Nrd off
-the rows s * b_i of the lattice's own basis; `gram` is their integer Gram
-over s^2 in lowest terms.  Lower-rank determinants and Minkowski reduction
+multiply to an integer m with b_i * b_j = m / s^2; three such products and
+the norms of the three squares decide closure (`_products_outside`).
+`basis_is_integral` reads Trd and Nrd off the rows s * b_i of the
+lattice's own basis; `gram` is their integer Gram over s^2 in lowest terms.  Lower-rank determinants and Minkowski reduction
 use the integer Gram s^2 G of H.
 """
 
@@ -163,22 +163,24 @@ class Lattice:
 
         Back-substitution from the last row of H: the residual
         s * num - den * (c * H) in the column of each pivot fixes one
-        coordinate, which must divide exactly and so clears that column; the
-        residual must already be zero in the columns without a pivot.
+        coordinate, which must divide exactly and so clears that column.  A
+        row of H ends at its pivot, so a step touches only the columns to its
+        left.  The residual must end at zero.
         """
         scale, rows = self.hnf
-        pivots = self._pivots
         residual = [scale * v for v in num]
         coords = []
-        for row, col in zip(reversed(rows), reversed(pivots)):
+        for row, col in zip(reversed(rows), reversed(self._pivots)):
             c, rem = divmod(residual[col], den * row[col])
             if rem:
                 return None
             if c:
                 step = c * den
-                residual = [v - step * e for v, e in zip(residual, row)]
+                for j in range(col):
+                    residual[j] -= step * row[j]
+                residual[col] = 0
             coords.append(c)
-        if any(v for j, v in enumerate(residual) if j not in pivots):
+        if any(residual):
             return None
         return tuple(reversed(coords))
 
@@ -202,12 +204,18 @@ class Lattice:
         For b_0 = 1 and integral Trd(b_i) the lattice is closed iff nothing is
         yielded: b_j b_i = Trd(b_i) b_j + Trd(b_j) b_i - Trd(b_i conj b_j) -
         b_i b_j, with Trd(b_i conj b_j) = Trd(b_i) Trd(b_j) - Trd(b_i b_j).
+        A square needs no solve: b_i^2 = Trd(b_i) b_i - Nrd(b_i) is inside iff
+        Nrd(b_i) is in L meet Q = Z, that is iff s^2 | u^T W u for the row u
+        of H and W = diag(1, a, p, ap); only a square outside is multiplied.
         """
         scale, rows = self.hnf
         a, p = self.algebra.a, self.algebra.p
+        weights = norm_weights(self.algebra)
         den = scale * scale
         for i, u in enumerate(rows[1:], 1):
-            for v in rows[i:]:
+            if sum(w * c * c for w, c in zip(weights, u)) % den:
+                yield mul_coords(a, p, u, u)
+            for v in rows[i + 1:]:
                 m = mul_coords(a, p, u, v)
                 if self._solve(m, den) is None:
                     yield m

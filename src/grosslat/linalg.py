@@ -1,7 +1,8 @@
 """Exact integer and rational linear algebra for small (rank <= 4) problems.
 
-Integer routines carry the package.  The Hermite normal form is the stored
-form of every lattice, and membership is back-substitution on it.  One
+Integer routines carry the package.  The Hermite normal form, trailing
+pivots and built in one pass from the last column, is the stored form of
+every lattice, and membership is back-substitution on it.  One
 fraction-free elimination (Bareiss, Math. Comp. 22, 1968) gives the
 determinant (index, lower-rank determinants, trace dual, Cramer's rule in
 reduction), the one definiteness test, and as Gauss-Jordan the adjugate
@@ -78,58 +79,50 @@ def smallest_prime_factor(n: int) -> int:
     return n
 
 
-def _echelon_hnf(rows: list[list[int]]) -> list[list[int]]:
-    """Row HNF with leading pivots: pivots positive, entries above a pivot
-    reduced into [0, pivot), rows ordered by pivot column."""
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return []
-    ncols = len(work[0])
-    pivots: list[tuple[int, int]] = []  # (col, row index in result)
-    top = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(top, len(work)):
-            if work[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[top], work[sel] = work[sel], work[top]
-        for i in range(top + 1, len(work)):
-            if work[i][col]:
-                a, b = work[top][col], work[i][col]
-                g, u, v = xgcd(a, b)
-                aa, bb = a // g, b // g
-                r0, r1 = work[top], work[i]
-                work[top] = [u * x + v * y for x, y in zip(r0, r1)]
-                work[i] = [-bb * x + aa * y for x, y in zip(r0, r1)]
-        if work[top][col] < 0:
-            work[top] = [-x for x in work[top]]
-        pivots.append((col, top))
-        top += 1
-    result = [work[i] for i in range(top)]
-    for col, ri in pivots:
-        piv = result[ri][col]
-        for j in range(ri):
-            q = result[j][col] // piv
-            if q:
-                result[j] = [x - q * y for x, y in zip(result[j], result[ri])]
-    return result
-
-
 def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     """Row HNF in the trailing-pivot (lower-triangular) convention.
 
     Each row's pivot is its last nonzero entry; pivots are positive, sit in
     strictly increasing columns, and the entries below a pivot in its column
-    are reduced into [0, pivot).  Zero rows are dropped.
+    are reduced into [0, pivot).  Zero rows are dropped.  One pass over the
+    columns from the right (Cohen, GTM 138, 2.4): the first row with an entry
+    in the column clears it from the others, by one subtraction when its
+    entry divides theirs and by extended gcd otherwise, and then reduces
+    that column of the rows already taken.
     """
     if not rows:
         return []
-    rev = [list(reversed(r)) for r in rows]
-    ech = _echelon_hnf(rev)
-    return [list(reversed(r)) for r in reversed(ech)]
+    work = [list(r) for r in rows]
+    taken: list[list[int]] = []
+    for col in reversed(range(len(work[0]))):
+        top, rest = None, []
+        for row in work:
+            b = row[col]
+            if b and top is None:
+                top = row
+                continue
+            if b:
+                a = top[col]
+                if b % a:
+                    g, u, v = xgcd(a, b)
+                    a, b = a // g, b // g
+                    top, row = ([u * x + v * y for x, y in zip(top, row)],
+                                [a * y - b * x for x, y in zip(top, row)])
+                else:
+                    q = b // a
+                    row = [y - q * x for x, y in zip(top, row)]
+            rest.append(row)
+        if top is None:
+            continue
+        work = rest
+        if top[col] < 0:
+            top = [-x for x in top]
+        for j, row in enumerate(taken):
+            q = row[col] // top[col]
+            if q:
+                taken[j] = [x - q * y for x, y in zip(row, top)]
+        taken.append(top)
+    return taken[::-1]
 
 
 def combine_rows(coeffs, rows) -> list[int]:

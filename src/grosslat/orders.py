@@ -20,11 +20,13 @@ an integer comparison.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import (AlgebraInconsistency, IntegralityError, LiftError, NotAnOrder, NotMaximal,
                      RankError, SaturationError)
-from .lattice import Lattice, integer_gram, row_quaternion
+from .lattice import Lattice, cleared_rows, integer_gram, norm_weights, row_quaternion
 from .linalg import adjugate, combine_rows, smallest_prime_factor
-from .quat import AlgebraParams, Quaternion
+from .quat import AlgebraParams, Quaternion, mul_coords
 
 
 class Order:
@@ -106,21 +108,10 @@ class Order:
     def is_maximal(self) -> bool:
         return self.reduced_discriminant() == self.algebra.p
 
-    # -- normalized and Gross bases ----------------------------------------
-
-    def normalized_basis(self) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
-        """Canonical basis in the shape {1, a1, a2, a3}.
-
-        The trailing-pivot HNF of an order always exposes 1 as its first
-        basis vector, with the scalar parts of the rest reduced into [0, 1).
-        """
-        basis = self.lattice.canonical_basis
-        if basis[0] != self.algebra.one:
-            raise AlgebraInconsistency("canonical order basis does not start with 1")
-        return basis
+    # -- Gross bases ----------------------------------------------------------
 
     def gross_basis(self) -> tuple[Quaternion, Quaternion, Quaternion]:
-        """Images 2x - Trd(x) of the non-unit normalized basis vectors, in order."""
+        """Images 2x - Trd(x) of the non-unit canonical basis vectors, in order."""
         return self.gross_lattice().basis
 
     def gross_lattice(self) -> Lattice:
@@ -173,19 +164,25 @@ def order_from_pair(alpha: Quaternion, beta: Quaternion) -> Order:
     """The order with module basis {1, alpha, beta, alpha*beta}.
 
     Requires alpha and beta integral with integral Trd(alpha*beta); the four
-    elements must be linearly independent.
+    elements must be linearly independent.  All of it runs on the cleared
+    rows u = s * alpha and v = s * beta: integrality is s | 2 u_0 and
+    s^2 | u^T W u (`Lattice.basis_is_integral`), m = u * v is s^2 alpha*beta,
+    so Trd(alpha*beta) = 2 m_0 / s^2, and the lattice is spanned by the rows
+    (s^2, 0, 0, 0), s * u, s * v and m over s^2.
     """
     alpha._check_same_algebra(beta)
     algebra = alpha.algebra
-    if not alpha.is_integral():
-        raise IntegralityError(f"{alpha} is not integral")
-    if not beta.is_integral():
-        raise IntegralityError(f"{beta} is not integral")
-    prod = alpha * beta
-    if prod.reduced_trace().denominator != 1:
-        raise IntegralityError(f"Trd(alpha*beta) = {prod.reduced_trace()} is not an integer")
-    gens = [algebra.one, alpha, beta, prod]
-    lat = Lattice.from_generators(algebra, gens)
+    scale, (u, v) = cleared_rows((alpha, beta))
+    den = scale * scale
+    weights = norm_weights(algebra)
+    for x, r in ((alpha, u), (beta, v)):
+        if 2 * r[0] % scale or sum(w * c * c for w, c in zip(weights, r)) % den:
+            raise IntegralityError(f"{x} is not integral")
+    m = mul_coords(algebra.a, algebra.p, u, v)
+    if 2 * m[0] % den:
+        raise IntegralityError(f"Trd(alpha*beta) = {Fraction(2 * m[0], den)} is not an integer")
+    lat = Lattice._from_rows(algebra, den, [(den, 0, 0, 0), [scale * c for c in u],
+                                            [scale * c for c in v], m])
     if lat.rank != 4:
         raise RankError("1, alpha, beta, alpha*beta are linearly dependent")
     return Order(lat)

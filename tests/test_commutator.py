@@ -59,7 +59,7 @@ class TestTraceZeroBasis:
     def test_matches_order_basis_brackets(self, order_p11, order_p19):
         # (b_i b_j - b_j b_i)/4 = [a_i, a_j] for the lifted order basis
         for order in (order_p11, order_p19):
-            _, a1, a2, a3 = order.normalized_basis()
+            _, a1, a2, a3 = order.lattice.canonical_basis
             triple = trace_zero_commutator_basis(order)
             assert triple[0] == commutator(a1, a2)
             assert triple[1] == commutator(a1, a3)
@@ -101,7 +101,7 @@ class TestTraceZeroBasis:
 
     def test_integer_brackets_match_fraction_products(self, maximal_orders):
         for order in maximal_orders:
-            _, a1, a2, a3 = order.normalized_basis()
+            _, a1, a2, a3 = order.lattice.canonical_basis
             c23 = commutator(a2, a3)
             brackets = [commutator(a1, a2), commutator(a1, a3), c23, a1 * c23]
             assert commutator_basis(order) == Lattice.from_generators(order.algebra, brackets)
@@ -111,5 +111,5 @@ class TestTraceZeroBasis:
 
     def test_fourth_generator_has_nonzero_trace(self, order_p11, order_p31, order_p19):
         for order in (order_p11, order_p31, order_p19):
-            _, a1, a2, a3 = order.normalized_basis()
+            _, a1, a2, a3 = order.lattice.canonical_basis
             assert (a1 * commutator(a2, a3)).reduced_trace() != 0

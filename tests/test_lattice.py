@@ -4,13 +4,16 @@ from math import gcd
 
 import pytest
 
-from grosslat import GramMatrix, Lattice, TernaryForm, trace_zero_commutator_basis
+from grosslat import (GramMatrix, Lattice, TernaryForm, extend_to_maximal,
+                      trace_zero_commutator_basis)
+from grosslat import lattice as lattice_module
 from grosslat.errors import AlgebraMismatch, ContainmentError, EmptyLatticeInput, RankError
 from grosslat.lattice import row_quaternion
-from grosslat.linalg import det_fractions, det_int, is_positive_definite, solve_left
+from grosslat.linalg import det_fractions, det_int, hnf_rows, is_positive_definite, solve_left
 from grosslat.quat import gross_map, inner
 
 from conftest import grid_seeds, random_order_element, random_quat, random_unimodular
+from echelon_hnf import hnf_by_reversed_echelon
 from fraction_enum import ldl
 from saturation_scan import products_outside_by_fractions
 
@@ -78,6 +81,57 @@ class TestCanonicalize:
     def test_dependent_direct_basis_rejected(self, alg11):
         with pytest.raises(RankError):
             Lattice(alg11, [alg11.i, 2 * alg11.i])
+
+    @staticmethod
+    def assert_hnf_shape(hnf) -> bool:
+        """Trailing pivots, positive, in increasing columns, reduced below;
+        True when some entry below a pivot is not zero."""
+        pivots = [max(j for j, e in enumerate(row) if e) for row in hnf]
+        assert pivots == sorted(set(pivots))
+        for i, (row, col) in enumerate(zip(hnf, pivots)):
+            assert row[col] > 0
+            assert all(0 <= below[col] < row[col] for below in hnf[i + 1:])
+        return any(below[col] for i, col in enumerate(pivots) for below in hnf[i + 1:])
+
+    def test_hnf_rows_matches_reversed_echelon(self):
+        """The one-pass HNF against the reversed leading-pivot echelon, on
+        random integer matrices with zero rows and entries up to 10^6."""
+        rng = random.Random(204)
+        seen = set()
+        for _ in range(2400):
+            ncols, nrows = rng.randint(1, 4), rng.randint(0, 6)
+            span = rng.choice((1, 3, 10, 10**6))
+            rows = [[rng.randint(-span, span) if rng.random() < 0.7 else 0 for _ in range(ncols)]
+                    for _ in range(nrows)]
+            if rows and rng.random() < 0.3:
+                rows[rng.randrange(nrows)] = [0] * ncols
+            before = [list(r) for r in rows]
+            hnf = hnf_rows(rows)
+            assert hnf == hnf_by_reversed_echelon(rows), rows
+            assert rows == before
+            if self.assert_hnf_shape(hnf):
+                seen.add("entry below a pivot")
+            if [0] * ncols in rows:
+                seen.add("zero row")
+            seen.add("empty" if not hnf else "full" if len(hnf) == ncols else "deficient")
+        assert seen == {"empty", "full", "deficient", "zero row", "entry below a pivot"}
+
+    def test_hnf_rows_on_saturation_inputs(self, monkeypatch):
+        """The same on every matrix `hnf_rows` meets while saturating the grid seeds."""
+        inputs = []
+
+        def recording(rows):
+            inputs.append([list(r) for r in rows])
+            return hnf_rows(rows)
+
+        monkeypatch.setattr(lattice_module, "hnf_rows", recording)
+        for seed in grid_seeds():
+            extend_to_maximal(seed)
+        assert len(inputs) > 200
+        for rows in inputs:
+            hnf = hnf_rows(rows)
+            assert hnf == hnf_by_reversed_echelon(rows), rows
+            self.assert_hnf_shape(hnf)
 
 
 class TestMembership:

@@ -26,7 +26,8 @@ from grosslat.lattice import row_quaternion
 from grosslat.linalg import det_fractions, det_int, is_prime, smallest_prime_factor
 from grosslat.orders import Order, _adjoin, _enlarge_once, _integral_cosets
 
-from conftest import SATURATED_CASES, grid_seeds, least_algebra, saturated_order
+from conftest import (SATURATED_CASES, grid_seeds, least_algebra, random_order_element,
+                      saturated_order)
 from norm_scan import norm_p_ideal_by_scan
 from saturation_scan import (
     adjoin_by_products,
@@ -59,6 +60,21 @@ def trace_form_discriminant(lattice):
     r = isqrt(n)
     assert r * r == n
     return r
+
+
+def order_from_pair_by_quaternions(alpha, beta):
+    """`order_from_pair` in Quaternion arithmetic: the checks and messages it raises."""
+    if not alpha.is_integral():
+        raise IntegralityError(f"{alpha} is not integral")
+    if not beta.is_integral():
+        raise IntegralityError(f"{beta} is not integral")
+    prod = alpha * beta
+    if prod.reduced_trace().denominator != 1:
+        raise IntegralityError(f"Trd(alpha*beta) = {prod.reduced_trace()} is not an integer")
+    lat = Lattice.from_generators(alpha.algebra, [alpha.algebra.one, alpha, beta, prod])
+    if lat.rank != 4:
+        raise RankError("1, alpha, beta, alpha*beta are linearly dependent")
+    return Order(lat)
 
 
 class TestIsOrder:
@@ -113,7 +129,7 @@ class TestDiscriminant:
             assert order.reduced_discriminant() == trace_form_discriminant(order.lattice)
 
     def test_discriminant_grows_with_index(self, order_p11):
-        one, a1, a2, a3 = order_p11.normalized_basis()
+        one, a1, a2, a3 = order_p11.lattice.canonical_basis
         sub = Order(Lattice.from_generators(
             order_p11.algebra, [one, 2 * a1, 2 * a2, 2 * a3]))
         assert sub.reduced_discriminant() % order_p11.reduced_discriminant() == 0
@@ -179,6 +195,55 @@ class TestOrderFromPair:
     def test_dependent_generators(self, alg19):
         with pytest.raises(RankError):
             order_from_pair(alg19.i, 2 * alg19.i)
+
+    @staticmethod
+    def outcome(build, alpha, beta):
+        """The HNF of the order build(alpha, beta) makes, or the class and message it raises."""
+        try:
+            return build(alpha, beta).lattice.hnf
+        except (IntegralityError, RankError, NotAnOrder) as exc:
+            return type(exc), str(exc)
+
+    @classmethod
+    def assert_matches_quaternion_route(cls, alpha, beta, seen):
+        expected = cls.outcome(order_from_pair_by_quaternions, alpha, beta)
+        assert cls.outcome(order_from_pair, alpha, beta) == expected, (alpha, beta)
+        if not isinstance(expected[0], type):
+            seen.add("order")
+        elif expected[0] is IntegralityError:
+            seen.add("Trd" if "Trd" in expected[1] else
+                     "alpha" if expected[1] == f"{alpha} is not integral" else "beta")
+        else:
+            seen.add(expected[0].__name__)
+
+    def test_integer_rows_match_quaternion_route(self, maximal_orders):
+        """The orders and refusals of `order_from_pair` against the Quaternion
+        route {1, alpha, beta, alpha*beta}: pairs of basis vectors and of random
+        elements of maximal orders, scaled by 1/2 and 1/3 or made dependent."""
+        rng = random.Random(160)
+        seen = set()
+        for order in maximal_orders:
+            basis = order.lattice.canonical_basis
+            for i in range(1, 4):
+                for j in range(1, 4):
+                    self.assert_matches_quaternion_route(basis[i], basis[j], seen)
+            for _ in range(6):
+                x, y = (random_order_element(rng, order, span=3) for _ in range(2))
+                dx, dy = rng.choice((1, 1, 2, 3)), rng.choice((1, 1, 2, 3))
+                for alpha, beta in ((x / dx, y / dy), (x, x * x), (x, 3 * x + 2)):
+                    self.assert_matches_quaternion_route(alpha, beta, seen)
+        # integral alpha, beta with integral Trd(alpha*beta) always span an order
+        assert seen == {"order", "alpha", "beta", "Trd", "RankError"}
+
+    def test_integer_rows_on_grid_seeds(self):
+        """Z<c1 i, c2 j> for every prime p <= 47 and every (c1, c2) in 1..6."""
+        for p in (q for q in range(2, 48) if is_prime(q)):
+            algebra = least_algebra(p)
+            for c1 in range(1, 7):
+                for c2 in range(1, 7):
+                    alpha, beta = c1 * algebra.i, c2 * algebra.j
+                    expected = order_from_pair_by_quaternions(alpha, beta).lattice.hnf
+                    assert order_from_pair(alpha, beta).lattice.hnf == expected
 
 
 class TestExtendToMaximal:
@@ -352,7 +417,7 @@ class TestGrossBasisConversion:
 
     def test_normalized_basis_shape(self, maximal_orders, skewed_orders):
         for order in (*maximal_orders, *skewed_orders):
-            one, a1, a2, a3 = order.normalized_basis()
+            one, a1, a2, a3 = order.lattice.canonical_basis
             assert one == order.algebra.one
             for a in (a1, a2, a3):
                 assert 0 <= a.w < 1
