@@ -47,7 +47,7 @@ def _check(name: str, expected, actual) -> dict:
             "pass": expected == actual}
 
 
-def cmd_verify_order(config: FixtureConfig) -> tuple[dict, bool]:
+def cmd_verify_order(config: FixtureConfig) -> dict:
     order = config.order()
     disc = order.reduced_discriminant()
     reduced = order.reduced_gross_lattice()
@@ -66,20 +66,18 @@ def cmd_verify_order(config: FixtureConfig) -> tuple[dict, bool]:
                              [rat_str(v) for v in gram.diagonal]))
     if "gross_det" in expected:
         checks.append(_check("gross_det", str(expected["gross_det"]), rat_str(reduced.det())))
-    ok = all(c["pass"] for c in checks)
-    report = {
+    return {
         "command": "verify-order",
         "label": config.label,
         "reduced_discriminant": disc,
         "gross_gram": gram.to_strings(),
         "gross_det": rat_str(reduced.det()),
         "checks": checks,
-        "ok": ok,
+        "ok": all(c["pass"] for c in checks),
     }
-    return report, ok
 
 
-def cmd_reproduce(config: FixtureConfig) -> tuple[dict, bool]:
+def cmd_reproduce(config: FixtureConfig) -> dict:
     order = config.order()
     p = config.algebra.p
     ell = config.ell
@@ -93,19 +91,17 @@ def cmd_reproduce(config: FixtureConfig) -> tuple[dict, bool]:
         _check("content", 4 * p, content),
         _check("form_represents_ell", False, witness is not None),
     ]
-    ok = all(c["pass"] for c in checks)
-    report = {
+    return {
         "command": "reproduce",
         "label": config.label,
         "ell": ell,
         "form": form.to_dict(),
         "checks": checks,
-        "ok": ok,
+        "ok": all(c["pass"] for c in checks),
     }
-    return report, ok
 
 
-def cmd_correspond(direction: str, config: FixtureConfig, payload) -> tuple[dict, bool]:
+def cmd_correspond(direction: str, config: FixtureConfig, payload) -> dict:
     order = config.order()
     algebra = config.algebra
     if direction == "to-endo":
@@ -113,23 +109,20 @@ def cmd_correspond(direction: str, config: FixtureConfig, payload) -> tuple[dict
             raise MalformedInput("--pair must be a JSON list of two coordinate lists")
         g1, g2 = (algebra.from_coord_strings(row) for row in payload)
         alpha = sublattice_to_endo(order, g1, g2)
-        det = pair_determinant(g1, g2)
-        report = {
+        return {
             "command": "correspond",
             "direction": direction,
             "alpha": alpha.to_coord_strings(),
-            "pair_det": rat_str(det),
+            "pair_det": rat_str(pair_determinant(g1, g2)),
             "nrd": rat_str(alpha.reduced_norm()),
             "trd": rat_str(alpha.reduced_trace()),
             "ok": True,
         }
-        return report, True
     alpha = algebra.from_coord_strings(payload)
     pair = endo_to_sublattice(order, alpha)
-    rebuilt = sublattice_to_endo(order, pair.gamma1, pair.gamma2)
-    round_trip = rebuilt == alpha
+    round_trip = sublattice_to_endo(order, pair.gamma1, pair.gamma2) == alpha
     det = pair.det()
-    report = {
+    return {
         "command": "correspond",
         "direction": direction,
         "gamma1": pair.gamma1.to_coord_strings(),
@@ -139,10 +132,9 @@ def cmd_correspond(direction: str, config: FixtureConfig, payload) -> tuple[dict
         "round_trip": round_trip,
         "ok": round_trip,
     }
-    return report, round_trip
 
 
-def cmd_equivalence(config: FixtureConfig, ell_max: int) -> tuple[dict, bool]:
+def cmd_equivalence(config: FixtureConfig, ell_max: int) -> dict:
     if ell_max < 1:
         raise ValueError("--ell-max must be a positive integer")
     order = config.order()
@@ -155,22 +147,20 @@ def cmd_equivalence(config: FixtureConfig, ell_max: int) -> tuple[dict, bool]:
         rep = represents(form, ell) is not None
         rows.append({"ell": ell, "endo_exists": endo,
                      "form_represents": rep, "agree": endo == rep})
-    ok = all(r["agree"] for r in rows)
-    report = {
+    return {
         "command": "equivalence",
         "label": config.label,
         "content": content,
         "rows": rows,
-        "ok": ok,
+        "ok": all(r["agree"] for r in rows),
     }
-    return report, ok
 
 
-def cmd_represents(form: TernaryForm, n: int) -> tuple[dict, bool]:
+def cmd_represents(form: TernaryForm, n: int) -> dict:
     if n >= 0 and (columns := column_bound(form, n)) > LIMITS["columns"]:
         raise LimitExceeded(f"{columns} (y, z) columns, at most {LIMITS['columns']}")
     witness = represents(form, n)
-    report = {
+    return {
         "command": "represents",
         "form": form.to_dict(),
         "n": n,
@@ -178,13 +168,11 @@ def cmd_represents(form: TernaryForm, n: int) -> tuple[dict, bool]:
         "represented": witness is not None,
         "ok": True,
     }
-    return report, True
 
 
-def cmd_search_endo(config: FixtureConfig, trace: int, norm: int) -> tuple[dict, bool]:
-    order = config.order()
-    found = search_elements(order, trace, norm)
-    report = {
+def cmd_search_endo(config: FixtureConfig, trace: int, norm: int) -> dict:
+    found = search_elements(config.order(), trace, norm)
+    return {
         "command": "search-endo",
         "label": config.label,
         "trace": trace,
@@ -193,7 +181,6 @@ def cmd_search_endo(config: FixtureConfig, trace: int, norm: int) -> tuple[dict,
         "elements": [x.to_coord_strings() for x in found],
         "ok": True,
     }
-    return report, True
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -214,54 +201,64 @@ def _emit(report: dict, fmt: str) -> None:
             print(f"{key}: {value}")
 
 
-def _load_config(args) -> FixtureConfig:
-    if getattr(args, "case", None):
-        return load_fixture(args.case)
-    if args.config is None:
+def _fixture(args) -> FixtureConfig:
+    """The fixture named by a case (`--case`, or `reproduce`'s positional) or `--config`."""
+    source = args.case or args.config
+    if source is None:
         raise ValueError("either a case name or --config PATH is required")
-    return load_fixture(args.config)
+    return load_fixture(source)
+
+
+def _run_correspond(args) -> dict:
+    # the payload is read before the fixture, so a missing one is named first
+    flag = "pair" if args.direction == "to-endo" else "element"
+    payload = getattr(args, flag)
+    if payload is None:
+        raise ValueError(f"{args.direction} needs --{flag}")
+    return cmd_correspond(args.direction, _fixture(args), json.loads(payload))
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One entry per verb: its flags, its fixture source and its runner."""
     parser = argparse.ArgumentParser(prog="grosslat")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="verb", required=True)
+    cases = sorted(BUILTIN_CASES)
 
-    sp = sub.add_parser("verify-order", parents=[common],
-                        help="check an order fixture's invariants")
-    sp.add_argument("--config", help="fixture JSON path")
-    sp.add_argument("--case", choices=sorted(BUILTIN_CASES), help="builtin fixture")
+    def verb(name, help, run, fixture_flags=True):
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("--format", choices=("json", "text"), default="json")
+        if fixture_flags:
+            sp.add_argument("--config", help="fixture JSON path")
+            sp.add_argument("--case", choices=cases, help="builtin fixture")
+        sp.set_defaults(run=run)
+        return sp
 
-    sp = sub.add_parser("reproduce", parents=[common],
-                        help="re-run one shipped counter-example")
-    sp.add_argument("case", choices=sorted(BUILTIN_CASES))
+    verb("verify-order", "check an order fixture's invariants",
+         lambda args: cmd_verify_order(_fixture(args)))
 
-    sp = sub.add_parser("correspond", parents=[common],
-                        help="convert between elements and sublattice pairs")
+    sp = verb("reproduce", "re-run one shipped counter-example",
+              lambda args: cmd_reproduce(_fixture(args)), fixture_flags=False)
+    sp.add_argument("case", choices=cases)
+
+    sp = verb("correspond", "convert between elements and sublattice pairs", _run_correspond)
     sp.add_argument("direction", choices=("to-sublattice", "to-endo"))
-    sp.add_argument("--config", help="fixture JSON path")
-    sp.add_argument("--case", choices=sorted(BUILTIN_CASES))
     sp.add_argument("--element", help="JSON quaternion coordinates (to-sublattice)")
     sp.add_argument("--pair", help="JSON [[...], [...]] pair coordinates (to-endo)")
 
-    sp = sub.add_parser("equivalence", parents=[common],
-                        help="existence-vs-representation table")
-    sp.add_argument("--config", help="fixture JSON path")
-    sp.add_argument("--case", choices=sorted(BUILTIN_CASES))
+    sp = verb("equivalence", "existence-vs-representation table",
+              lambda args: cmd_equivalence(_fixture(args), args.ell_max))
     sp.add_argument("--ell-max", type=int, required=True,
                     help=f"last row of the table, 1 to {LIMITS['ell_max']}")
 
-    sp = sub.add_parser("represents", parents=[common],
-                        help="test representation of an integer by a form")
+    sp = verb("represents", "test representation of an integer by a form",
+              lambda args: cmd_represents(TernaryForm.from_dict(json.loads(args.form)), args.ell),
+              fixture_flags=False)
     sp.add_argument("--form", required=True, help='JSON like {"A":1,...,"F":1}')
     sp.add_argument("--ell", type=int, required=True,
                     help=f"the integer to represent, at most {LIMITS['ell']}")
 
-    sp = sub.add_parser("search-endo", parents=[common],
-                        help="enumerate order elements by trace and norm")
-    sp.add_argument("--config", help="fixture JSON path")
-    sp.add_argument("--case", choices=sorted(BUILTIN_CASES))
+    sp = verb("search-endo", "enumerate order elements by trace and norm",
+              lambda args: cmd_search_endo(_fixture(args), args.trace, args.norm))
     sp.add_argument("--trace", type=int, required=True)
     sp.add_argument("--norm", type=int, required=True,
                     help=f"reduced norm, at most {LIMITS['norm']}")
@@ -270,39 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _check_limits(args)
-        if args.verb == "verify-order":
-            report, ok = cmd_verify_order(_load_config(args))
-        elif args.verb == "reproduce":
-            report, ok = cmd_reproduce(load_fixture(args.case))
-        elif args.verb == "correspond":
-            if args.direction == "to-endo":
-                if args.pair is None:
-                    raise ValueError("to-endo needs --pair")
-                payload = json.loads(args.pair)
-            else:
-                if args.element is None:
-                    raise ValueError("to-sublattice needs --element")
-                payload = json.loads(args.element)
-            report, ok = cmd_correspond(args.direction, _load_config(args), payload)
-        elif args.verb == "equivalence":
-            report, ok = cmd_equivalence(_load_config(args), args.ell_max)
-        elif args.verb == "represents":
-            form = TernaryForm.from_dict(json.loads(args.form))
-            report, ok = cmd_represents(form, args.ell)
-        elif args.verb == "search-endo":
-            report, ok = cmd_search_endo(_load_config(args), args.trace, args.norm)
-        else:  # pragma: no cover
-            parser.error(f"unknown verb {args.verb}")
+        report = args.run(args)
     except (ValueError, FileNotFoundError, RuntimeError) as exc:
         print(json.dumps({"error": str(exc)}) if args.format == "json"
               else f"error: {exc}", file=sys.stderr)
         return 1
     _emit(report, args.format)
-    return 0 if ok else 1
+    return 0 if report["ok"] else 1
 
 
 if __name__ == "__main__":

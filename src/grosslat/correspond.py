@@ -66,6 +66,12 @@ def pair_determinant(g1: Quaternion, g2: Quaternion) -> Fraction:
     return inner(g1, g1) * inner(g2, g2) - inner(g1, g2) ** 2
 
 
+def _pair_element(g1: Quaternion, g2: Quaternion) -> Quaternion:
+    """g1 conj(g2)/2 - Trd(g1 conj(g2))/4, the trace-zero element of the pair."""
+    prod = g1 * g2.conjugate()
+    return prod / 2 - prod.reduced_trace() / 4
+
+
 def sublattice_to_endo(order: Order, g1: Quaternion, g2: Quaternion) -> Quaternion:
     """Trace-zero element of the order built from a rank-2 Gross sublattice.
 
@@ -78,8 +84,7 @@ def sublattice_to_endo(order: Order, g1: Quaternion, g2: Quaternion) -> Quaterni
     det = pair_determinant(g1, g2)
     if det == 0:
         raise DegeneratePair("the two vectors are linearly dependent")
-    prod = g1 * g2.conjugate()
-    alpha = prod / 2 - prod.reduced_trace() / 4
+    alpha = _pair_element(g1, g2)
     if not order.contains(alpha):
         raise AlgebraInconsistency(f"constructed element {alpha} escaped the order")
     return alpha
@@ -132,9 +137,7 @@ def endo_to_sublattice(order: Order, alpha: Quaternion) -> SublatticePair:
     coeff = plucker_lift(*coords)
     b = order.gross_basis()
     g1, g2 = (c1 * b[0] + c2 * b[1] + c3 * b[2] for c1, c2, c3 in coeff.rows)
-    prod = g1 * g2.conjugate()
-    rebuilt = prod / 2 - prod.reduced_trace() / 4
-    if rebuilt != alpha:
+    if _pair_element(g1, g2) != alpha:
         raise AlgebraInconsistency("pair does not reconstruct the element")
     return SublatticePair(g1, g2)
 

@@ -53,8 +53,8 @@ class Order:
         self._adopt(lattice)
 
     def _adopt(self, lattice: Lattice) -> "Order":
-        """Take the lattice as it is: after the checks above, or from `_adjoin`,
-        which has just shown its lattice to hold 1 and be integral and closed."""
+        """Take the lattice as it is: after the checks above, or from `_adjoin` or
+        `order_from_pair`, which show their lattices to hold 1 and be integral and closed."""
         self.lattice = lattice
         self._trace_gram = self._discriminant = self._gross_lattice = None
         self._reduced_gross = self._gross_form = None
@@ -169,6 +169,12 @@ def order_from_pair(alpha: Quaternion, beta: Quaternion) -> Order:
     s^2 | u^T W u (`Lattice.basis_is_integral`), m = u * v is s^2 alpha*beta,
     so Trd(alpha*beta) = 2 m_0 / s^2, and the lattice is spanned by the rows
     (s^2, 0, 0, 0), s * u, s * v and m over s^2.
+
+    The lattice is adopted without `Order`'s checks, which cannot fail here:
+    it holds 1, and it is closed, since alpha^2 = Trd(alpha) alpha - Nrd(alpha),
+    likewise beta^2, and beta alpha = Trd(alpha) beta + Trd(beta) alpha
+    + Trd(alpha beta) - Trd(alpha) Trd(beta) - alpha beta.  A ring that is a
+    lattice has only integral elements, and an order meets Q in exactly Z.
     """
     alpha._check_same_algebra(beta)
     algebra = alpha.algebra
@@ -185,7 +191,7 @@ def order_from_pair(alpha: Quaternion, beta: Quaternion) -> Order:
                                             [scale * c for c in v], m])
     if lat.rank != 4:
         raise RankError("1, alpha, beta, alpha*beta are linearly dependent")
-    return Order(lat)
+    return Order.__new__(Order)._adopt(lat)
 
 
 def lift_gross_basis(b1: Quaternion, b2: Quaternion, b3: Quaternion) -> Order:

@@ -30,6 +30,17 @@ def cli_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(path_dirs))
 
 
+def write_tampered(tmp_path, fixture):
+    """The fixture with its non-unit basis vectors doubled: still a ring, but
+    index-8 deep, so the discriminant grows and maximality fails."""
+    data = fixture.to_dict()
+    doubled = [fixture.order_basis[0]] + [2 * b for b in fixture.order_basis[1:]]
+    data["order_basis"] = [b.to_coord_strings() for b in doubled]
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(data), "utf-8")
+    return path
+
+
 class TestVerifyOrder:
     def test_builtin_fixtures_pass(self, capsys):
         for case in ("p11", "p31", "p19"):
@@ -47,13 +58,7 @@ class TestVerifyOrder:
         assert [row[0] for row in report["gross_gram"]] == ["3", "1", "1"]
 
     def test_tampered_fixture_fails(self, capsys, tmp_path, fixture_p11):
-        # doubling the non-unit basis vectors keeps a ring but index-8 deep,
-        # so the discriminant grows and maximality fails
-        data = fixture_p11.to_dict()
-        doubled = [fixture_p11.order_basis[0]] + [2 * b for b in fixture_p11.order_basis[1:]]
-        data["order_basis"] = [b.to_coord_strings() for b in doubled]
-        path = tmp_path / "tampered.json"
-        path.write_text(json.dumps(data), "utf-8")
+        path = write_tampered(tmp_path, fixture_p11)
         code, out, err = run_cli(capsys, "verify-order", "--config", str(path))
         assert code == 1
         report = json.loads(out)
@@ -352,8 +357,8 @@ class TestSkewedOrder:
         order, conjugate, _, _ = orders
         config = FixtureConfig("p193", conjugate.algebra, list(order.lattice.basis),
                                conjugate.alpha, 1)
-        report, ok = cmd_equivalence(conjugate, 100)
-        assert ok and report["rows"] == cmd_equivalence(config, 100)[0]["rows"]
+        report = cmd_equivalence(conjugate, 100)
+        assert report["ok"] and report["rows"] == cmd_equivalence(config, 100)["rows"]
 
     def test_full_table_in_seconds(self, orders, tmp_path):
         _, conjugate, _, _ = orders
@@ -396,3 +401,96 @@ class TestDeterminism:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+VERBS = ("verify-order", "reproduce", "correspond", "equivalence", "represents", "search-endo")
+PAIR = '[["0","1","0","0"], ["0","1/3","1","-1/3"]]'
+ELEMENT = '["0","0","-1/2","-1/2"]'
+FORM = '{"A":1,"B":1,"C":4,"D":-1,"E":-1,"F":1}'
+NO_SOURCE = "either a case name or --config PATH is required"
+
+
+class TestDispatch:
+    """What `main` refuses before any work, and in which order: the size caps,
+    then `correspond`'s payload, then the fixture source."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["correspond", "to-endo", "--case", "p11"], "to-endo needs --pair"),
+        (["correspond", "to-sublattice", "--case", "p11"], "to-sublattice needs --element"),
+        (["correspond", "to-endo"], "to-endo needs --pair"),
+        (["correspond", "to-sublattice"], "to-sublattice needs --element"),
+        (["correspond", "to-endo", "--element", ELEMENT], "to-endo needs --pair"),
+        (["correspond", "to-sublattice", "--pair", PAIR], "to-sublattice needs --element"),
+        (["verify-order"], NO_SOURCE),
+        (["correspond", "to-endo", "--pair", PAIR], NO_SOURCE),
+        (["correspond", "to-sublattice", "--element", ELEMENT], NO_SOURCE),
+        (["equivalence", "--ell-max", "3"], NO_SOURCE),
+        (["search-endo", "--trace", "0", "--norm", "11"], NO_SOURCE),
+        (["equivalence", "--ell-max", "501"], "--ell-max must be at most 500, got 501"),
+        (["search-endo", "--trace", "0", "--norm", "1000001"],
+         "--norm must be at most 1000000, got 1000001"),
+    ])
+    def test_refused_with(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": message}
+
+    def test_reproduce_needs_its_case(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: case" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_help_exits_zero(self, capsys, verb):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: grosslat {verb} ")
+
+
+class TestTextFormat:
+    """`--format text` on every verb: the same exit status as JSON, one line per
+    field, PASS/FAIL lines for checks and table rows, `error: ...` on stderr."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-order", "--case", "p11"],
+        ["reproduce", "p31"],
+        ["correspond", "to-sublattice", "--case", "p11", "--element", ELEMENT],
+        ["correspond", "to-endo", "--case", "p11", "--pair", PAIR],
+        ["equivalence", "--case", "p19", "--ell-max", "5"],
+        ["represents", "--form", FORM, "--ell", "11"],
+        ["search-endo", "--case", "p11", "--trace", "0", "--norm", "11"],
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_status_matches_json(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        report = json.loads(out)
+        text_code, text, err = run_cli(capsys, *argv, "--format", "text")
+        assert text_code == code == 0 and err == ""
+        assert text.splitlines()[0] == f"command: {report['command']}"
+
+    def test_equivalence_rows(self, capsys):
+        code, out, _ = run_cli(capsys, "equivalence", "--case", "p11", "--ell-max", "12",
+                               "--format", "text")
+        assert code == 0
+        rows = [line for line in out.splitlines() if line.startswith("PASS ell=")]
+        assert len(rows) == 12
+        assert "PASS ell=11: endo=False form=False" in rows
+        assert "FAIL" not in out
+
+    def test_tampered_fixture(self, capsys, tmp_path, fixture_p11):
+        path = write_tampered(tmp_path, fixture_p11)
+        code, out, _ = run_cli(capsys, "verify-order", "--config", str(path), "--format", "text")
+        assert code == 1
+        assert "FAIL is_maximal: expected True, got False" in out.splitlines()
+        assert "ok: False" in out.splitlines()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["correspond", "to-endo", "--case", "p11"], "to-endo needs --pair"),
+        (["search-endo", "--trace", "0", "--norm", "11"], NO_SOURCE),
+        (["represents", "--form", '{"A":1,"B":1}', "--ell", "3"], "form is missing C, D, E, F"),
+    ])
+    def test_refusal_on_stderr(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv, "--format", "text")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err
