@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Verbs: verify-order, reproduce, correspond, equivalence, represents,
-search-endo.  Reports are JSON with a stable key order (or --format text);
-the exit status is 0 iff every check passed.
+search-endo.  Reports are JSON with a stable key order (or --format text,
+one line per field, nested values as compact JSON); the exit status is 0
+iff every check passed.  A stdout closed before the report is written ends
+the run with status 1 and nothing on stderr.  `main(argv)` builds the
+parser of the verb it runs only (`build_parser(verb)`); an argv that names
+no verb gets the full parser.
 
 The size arguments are capped (LIMITS): --ell and --norm at 10^6 and
 --ell-max at 500, far above the paper's tables (ell <= 50).  Enumeration
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .correspond import endo_to_sublattice, pair_determinant, search_elements, sublattice_to_endo
@@ -197,6 +202,8 @@ def _emit(report: dict, fmt: str) -> None:
                 status = "PASS" if r["agree"] else "FAIL"
                 print(f"{status} ell={r['ell']}: endo={r['endo_exists']} "
                       f"form={r['form_represents']}")
+        elif isinstance(value, (list, dict)):
+            print(f"{key}: {json.dumps(value, separators=(',', ':'))}")
         else:
             print(f"{key}: {value}")
 
@@ -218,56 +225,64 @@ def _run_correspond(args) -> dict:
     return cmd_correspond(args.direction, _fixture(args), json.loads(payload))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One entry per verb: its flags, its fixture source and its runner."""
-    parser = argparse.ArgumentParser(prog="grosslat")
-    sub = parser.add_subparsers(dest="verb", required=True)
-    cases = sorted(BUILTIN_CASES)
+CASES = sorted(BUILTIN_CASES)
 
-    def verb(name, help, run, fixture_flags=True):
+# name: (help, runner, whether it takes --config/--case, its own flags)
+VERBS = {
+    "verify-order": ("check an order fixture's invariants",
+                     lambda args: cmd_verify_order(_fixture(args)), True, ()),
+    "reproduce": ("re-run one shipped counter-example",
+                  lambda args: cmd_reproduce(_fixture(args)), False,
+                  (("case", {"choices": CASES}),)),
+    "correspond": ("convert between elements and sublattice pairs", _run_correspond, True, (
+        ("direction", {"choices": ("to-sublattice", "to-endo")}),
+        ("--element", {"help": "JSON quaternion coordinates (to-sublattice)"}),
+        ("--pair", {"help": "JSON [[...], [...]] pair coordinates (to-endo)"}))),
+    "equivalence": ("existence-vs-representation table",
+                    lambda args: cmd_equivalence(_fixture(args), args.ell_max), True,
+                    (("--ell-max", {"type": int, "required": True,
+                                    "help": f"last row of the table, 1 to {LIMITS['ell_max']}"}),)),
+    "represents": ("test representation of an integer by a form",
+                   lambda args: cmd_represents(TernaryForm.from_dict(json.loads(args.form)),
+                                               args.ell), False, (
+        ("--form", {"required": True, "help": 'JSON like {"A":1,...,"F":1}'}),
+        ("--ell", {"type": int, "required": True,
+                   "help": f"the integer to represent, at most {LIMITS['ell']}"}))),
+    "search-endo": ("enumerate order elements by trace and norm",
+                    lambda args: cmd_search_endo(_fixture(args), args.trace, args.norm), True, (
+        ("--trace", {"type": int, "required": True}),
+        ("--norm", {"type": int, "required": True,
+                    "help": f"reduced norm, at most {LIMITS['norm']}"}))),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every verb, or with `verb` alone.
+
+    A one-verb parser parses, helps and refuses that verb's argv byte for
+    byte as the full one does: its usage line still names all the verbs.
+    """
+    parser = argparse.ArgumentParser(prog="grosslat")
+    sub = parser.add_subparsers(dest="verb", required=True,
+                                metavar=None if verb is None else "{" + ",".join(VERBS) + "}")
+    for name in VERBS if verb is None else (verb,):
+        help, run, fixture_flags, flags = VERBS[name]
         sp = sub.add_parser(name, help=help)
         sp.add_argument("--format", choices=("json", "text"), default="json")
         if fixture_flags:
             sp.add_argument("--config", help="fixture JSON path")
-            sp.add_argument("--case", choices=cases, help="builtin fixture")
+            sp.add_argument("--case", choices=CASES, help="builtin fixture")
+        for flag, kwargs in flags:
+            sp.add_argument(flag, **kwargs)
         sp.set_defaults(run=run)
-        return sp
-
-    verb("verify-order", "check an order fixture's invariants",
-         lambda args: cmd_verify_order(_fixture(args)))
-
-    sp = verb("reproduce", "re-run one shipped counter-example",
-              lambda args: cmd_reproduce(_fixture(args)), fixture_flags=False)
-    sp.add_argument("case", choices=cases)
-
-    sp = verb("correspond", "convert between elements and sublattice pairs", _run_correspond)
-    sp.add_argument("direction", choices=("to-sublattice", "to-endo"))
-    sp.add_argument("--element", help="JSON quaternion coordinates (to-sublattice)")
-    sp.add_argument("--pair", help="JSON [[...], [...]] pair coordinates (to-endo)")
-
-    sp = verb("equivalence", "existence-vs-representation table",
-              lambda args: cmd_equivalence(_fixture(args), args.ell_max))
-    sp.add_argument("--ell-max", type=int, required=True,
-                    help=f"last row of the table, 1 to {LIMITS['ell_max']}")
-
-    sp = verb("represents", "test representation of an integer by a form",
-              lambda args: cmd_represents(TernaryForm.from_dict(json.loads(args.form)), args.ell),
-              fixture_flags=False)
-    sp.add_argument("--form", required=True, help='JSON like {"A":1,...,"F":1}')
-    sp.add_argument("--ell", type=int, required=True,
-                    help=f"the integer to represent, at most {LIMITS['ell']}")
-
-    sp = verb("search-endo", "enumerate order elements by trace and norm",
-              lambda args: cmd_search_endo(_fixture(args), args.trace, args.norm))
-    sp.add_argument("--trace", type=int, required=True)
-    sp.add_argument("--norm", type=int, required=True,
-                    help=f"reduced norm, at most {LIMITS['norm']}")
-
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # no verb first (help, an unknown verb, a flag): the full parser, whose
+    # messages list every verb's help
+    args = build_parser(argv[0] if argv and argv[0] in VERBS else None).parse_args(argv)
     try:
         _check_limits(args)
         report = args.run(args)
@@ -275,7 +290,16 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc)}) if args.format == "json"
               else f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(report, args.format)
+    try:
+        _emit(report, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: what stdout still buffers goes to /dev/null,
+        # so the flush at exit neither fails nor prints a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0 if report["ok"] else 1
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from grosslat import (
     TernaryForm,
     search_elements,
 )
-from grosslat.cli import LIMITS, cmd_equivalence, main
+from grosslat.cli import LIMITS, build_parser, cmd_equivalence, main
 from grosslat.forms import column_bound
 
 from conftest import skewed_p193
@@ -408,6 +409,16 @@ PAIR = '[["0","1","0","0"], ["0","1/3","1","-1/3"]]'
 ELEMENT = '["0","0","-1/2","-1/2"]'
 FORM = '{"A":1,"B":1,"C":4,"D":-1,"E":-1,"F":1}'
 NO_SOURCE = "either a case name or --config PATH is required"
+# one successful run of each verb (both directions of correspond)
+RUNS = [
+    ["verify-order", "--case", "p11"],
+    ["reproduce", "p31"],
+    ["correspond", "to-sublattice", "--case", "p11", "--element", ELEMENT],
+    ["correspond", "to-endo", "--case", "p11", "--pair", PAIR],
+    ["equivalence", "--case", "p19", "--ell-max", "5"],
+    ["represents", "--form", FORM, "--ell", "11"],
+    ["search-endo", "--case", "p11", "--trace", "0", "--norm", "11"],
+]
 
 
 class TestDispatch:
@@ -453,21 +464,19 @@ class TestTextFormat:
     """`--format text` on every verb: the same exit status as JSON, one line per
     field, PASS/FAIL lines for checks and table rows, `error: ...` on stderr."""
 
-    @pytest.mark.parametrize("argv", [
-        ["verify-order", "--case", "p11"],
-        ["reproduce", "p31"],
-        ["correspond", "to-sublattice", "--case", "p11", "--element", ELEMENT],
-        ["correspond", "to-endo", "--case", "p11", "--pair", PAIR],
-        ["equivalence", "--case", "p19", "--ell-max", "5"],
-        ["represents", "--form", FORM, "--ell", "11"],
-        ["search-endo", "--case", "p11", "--trace", "0", "--norm", "11"],
-    ], ids=lambda argv: "-".join(argv[:2]))
+    @pytest.mark.parametrize("argv", RUNS, ids=lambda argv: "-".join(argv[:2]))
     def test_status_matches_json(self, capsys, argv):
         code, out, _ = run_cli(capsys, *argv)
         report = json.loads(out)
         text_code, text, err = run_cli(capsys, *argv, "--format", "text")
         assert text_code == code == 0 and err == ""
         assert text.splitlines()[0] == f"command: {report['command']}"
+        # a nested field prints as compact JSON, equal to the JSON report's
+        fields = dict(line.split(": ", 1) for line in text.splitlines()
+                      if not line.startswith(("PASS ", "FAIL ")))
+        for key, value in report.items():
+            if isinstance(value, (list, dict)) and key not in ("checks", "rows"):
+                assert json.loads(fields[key]) == value, key
 
     def test_equivalence_rows(self, capsys):
         code, out, _ = run_cli(capsys, "equivalence", "--case", "p11", "--ell-max", "12",
@@ -494,3 +503,88 @@ class TestTextFormat:
         code, out, err = run_cli(capsys, *argv, "--format", "text")
         assert code == 1 and out == ""
         assert err.startswith("error: ") and message in err
+
+
+class TestParserParity:
+    """`main` builds only the parser of the verb it runs; that parser helps,
+    refuses and parses each verb's argv exactly as the full one does."""
+
+    # a valid argv, and one that the verb's own parser refuses
+    CASES = {
+        "verify-order": (["--case", "p11"], ["--case"]),
+        "reproduce": (["p31"], []),
+        "correspond": (["to-endo", "--case", "p11", "--pair", PAIR], ["--case", "p11"]),
+        "equivalence": (["--case", "p19", "--ell-max", "5"], ["--case", "p19"]),
+        "represents": (["--form", FORM, "--ell", "11"], ["--form", FORM]),
+        "search-endo": (["--case", "p11", "--trace", "0", "--norm", "11"], ["--trace", "0"]),
+    }
+
+    def test_cases_cover_every_verb(self):
+        assert tuple(self.CASES) == VERBS
+
+    @staticmethod
+    def exit_of(capsys, parser, argv):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_same_help_and_usage_errors(self, capsys, verb):
+        valid, refused = self.CASES[verb]
+        for argv in ([verb, "--help"], [verb, *valid, "--bogus"], [verb, *refused]):
+            full = self.exit_of(capsys, build_parser(), argv)
+            assert self.exit_of(capsys, build_parser(verb), argv) == full, argv
+            assert full[0] == (0 if argv[-1] == "--help" else 2)
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_same_namespace(self, verb):
+        argv = [verb, *self.CASES[verb][0]]
+        full, one = (vars(build_parser(v).parse_args(argv)) for v in (None, verb))
+        del full["run"], one["run"]
+        assert one == full
+
+    def test_main_builds_one_verb(self, capsys, monkeypatch):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        code, _, _ = run_cli(capsys, "represents", "--form", FORM, "--ell", "11")
+        assert code == 0 and built == ["represents"]
+
+    def test_top_level_help_lists_every_verb(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(VERBS) + "}" in out
+        listed = [line.split()[0] for line in out.splitlines()
+                  if line.startswith("    ") and not line.startswith("     ")]
+        assert listed == list(VERBS)
+
+
+class TestClosedStdout:
+    """A reader that is already gone: the report cannot be written, and the
+    run ends with status 1 and nothing on stderr, buffered or not."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_exit_1_without_traceback(self, fmt, unbuffered):
+        env = cli_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "grosslat.cli", "equivalence",
+                                   "--case", "p19", "--ell-max", "50", "--format", fmt],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  timeout=30, env=env)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (1, "")
