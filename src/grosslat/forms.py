@@ -270,29 +270,47 @@ def order_form(order: Order) -> tuple[int, TernaryForm]:
 def canonical_reduced_form(form: TernaryForm) -> TernaryForm:
     """Deterministic reduced representative of the form's equivalence class.
 
-    Greedy reduction finds the successive minima; among all bases realizing
-    them (an intrinsic, finite set), the lexicographically smallest
-    coefficient tuple is returned, so equivalent forms map to one output.
+    Greedy reduction finds the successive minima (A, B, C); among all bases
+    (v1, v2, v3) realizing them (an intrinsic, finite set), the
+    lexicographically smallest coefficient tuple is returned, so equivalent
+    forms map to one output.  Every such basis gives the same A, B, C, and with
+    M the doubled Gram of the reduced form, D = v1 M v2, E = v1 M v3 and
+    F = v2 M v3: dot products of the products M v1, M v2 with the other
+    minimal vectors.  Negating all three changes no coefficient, so v1 keeps
+    its first nonzero coordinate positive.  A pair (v1, v2) is dropped once
+    its D exceeds the best, a v3 once (D, E, F) is no smaller than the best,
+    and unimodularity is tested only for a candidate that would become the
+    best.  No form is built per candidate.
     """
     if not form.is_positive_definite():
         raise DefinitenessError("reduction needs a definite form")
     reduced = form.transformed(greedy_reduce(form.doubled_gram()))
+    m = reduced.doubled_gram()
     minima = (reduced.a, reduced.b, reduced.c)
     sols = {v: list(representations(reduced, v)) for v in set(minima)}
+
+    def products(vectors):
+        return [(v, [row[0] * v[0] + row[1] * v[1] + row[2] * v[2] for row in m])
+                for v in vectors]
+
+    # (-v1, -v2, -v3) has the coefficients of (v1, v2, v3): take v1 > 0
+    firsts = products(v for v in sols[minima[0]] if v > (0, 0, 0))
+    seconds = products(sols[minima[1]])
+    thirds = sols[minima[2]]
     best = None
-    for v1 in sols[minima[0]]:
-        for v2 in sols[minima[1]]:
-            for v3 in sols[minima[2]]:
-                det = (
-                    v1[0] * (v2[1] * v3[2] - v2[2] * v3[1])
-                    - v1[1] * (v2[0] * v3[2] - v2[2] * v3[0])
-                    + v1[2] * (v2[0] * v3[1] - v2[1] * v3[0])
-                )
-                if det not in (1, -1):
+    for v1, w1 in firsts:
+        for v2, w2 in seconds:
+            d = w1[0] * v2[0] + w1[1] * v2[1] + w1[2] * v2[2]
+            if best is not None and d > best[0]:
+                continue
+            cross = (v1[1] * v2[2] - v1[2] * v2[1], v1[2] * v2[0] - v1[0] * v2[2],
+                     v1[0] * v2[1] - v1[1] * v2[0])
+            for v3 in thirds:
+                key = (d, w1[0] * v3[0] + w1[1] * v3[1] + w1[2] * v3[2],
+                       w2[0] * v3[0] + w2[1] * v3[1] + w2[2] * v3[2])
+                if best is not None and key >= best:
                     continue
-                candidate = reduced.transformed([list(v1), list(v2), list(v3)])
-                key = candidate.coefficients()
-                if best is None or key < best:
+                if cross[0] * v3[0] + cross[1] * v3[1] + cross[2] * v3[2] in (1, -1):
                     best = key
     assert best is not None
-    return TernaryForm(*best)
+    return TernaryForm(*minima, *best)

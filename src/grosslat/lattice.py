@@ -64,6 +64,9 @@ class GramMatrix:
         return all(e % self.den == 0 for row in self.rows for e in row)
 
     def to_strings(self) -> list[list[str]]:
+        """Entries in the wire format of `rat_str`; integers directly when den == 1."""
+        if self.den == 1:
+            return [[str(e) for e in row] for row in self.rows]
         return [[rat_str(e) for e in row] for row in self.entries]
 
 

@@ -4,8 +4,8 @@ Integer routines carry the package.  The Hermite normal form, trailing
 pivots and built in one pass from the last column, is the stored form of
 every lattice, and membership is back-substitution on it.  One
 fraction-free elimination (Bareiss, Math. Comp. 22, 1968) gives the
-determinant (index, lower-rank determinants, trace dual, Cramer's rule in
-reduction), the one definiteness test, and as Gauss-Jordan the adjugate
+determinant (index, lower-rank determinants, trace dual), the one
+definiteness test, and as Gauss-Jordan the adjugate
 (trace dual in `Order.norm_p_ideal`, the HNF to a lattice's own basis).
 The rational routines have no caller here: the tests and the benchmark
 import `det_fractions`; `solve_left` is the tests' membership oracle, which

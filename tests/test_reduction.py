@@ -10,7 +10,7 @@ from grosslat import Lattice, TernaryForm, canonical_reduced_form, extend_to_max
 from grosslat import reduction
 from grosslat.forms import order_form
 from grosslat.linalg import det_int
-from grosslat.reduction import _inner, _norm, greedy_reduce
+from grosslat.reduction import greedy_reduce
 
 from conftest import SATURATED_CASES, grid_seeds, random_unimodular, saturated_order
 from fraction_reduce import (
@@ -37,10 +37,18 @@ SYMMETRIC = [
 ]
 
 
+def _inner(gram, u, v) -> int:
+    return sum(ui * vj * gram[i][j] for i, ui in enumerate(u) for j, vj in enumerate(v))
+
+
+def _norm(gram, v) -> int:
+    return _inner(gram, v, v)
+
+
 def closest_in_window(gram, head, target):
     """Closest vector over the +-2 window around the floor of the real solution,
     ties to the smaller coefficient tuple: the scan that `_closest_coeffs`
-    narrowed to the corners of the floor cell."""
+    narrowed to the corners of the floor cell.  Returns (coeffs, norm)."""
     normal = [[_inner(gram, u, v) for v in head] for u in head]
     rhs = [_inner(gram, target, u) for u in head]
     det = det_int(normal)
@@ -53,7 +61,8 @@ def closest_in_window(gram, head, target):
             diff = [a - c * b for a, b in zip(diff, h)]
         return (_norm(gram, diff), coeffs)
 
-    return min(product(*(range(f - 2, f + 3) for f in floors)), key=key)
+    coeffs = min(product(*(range(f - 2, f + 3) for f in floors)), key=key)
+    return coeffs, key(coeffs)[0]
 
 
 def congruent(gram, rows):
@@ -92,26 +101,51 @@ class TestGreedyReduce:
         assert tied > 40
 
     def test_corners_match_window(self, monkeypatch):
-        """Every closest-vector call of a reduction, on unimodular images of random
-        Grams and of SYMMETRIC, against the full window."""
+        """Every closest-vector step of a reduction, on unimodular images of random
+        Grams and of SYMMETRIC, against the full window on the carried Gram of
+        the current vectors: head b_0..b_{k-1}, target b_k."""
         corners = reduction._closest_coeffs
         calls, mismatches = [0], []
 
-        def checked(gram, head, target):
-            found = corners(gram, head, target)
+        def checked(g, k):
+            found = corners(g, k)
             calls[0] += 1
-            if found != closest_in_window(gram, head, target):
-                mismatches.append((gram, head, target))
+            sub = [row[:k + 1] for row in g[:k + 1]]
+            unit = [[int(i == j) for j in range(k + 1)] for i in range(k + 1)]
+            if found != closest_in_window(sub, unit[:k], unit[k]):
+                mismatches.append((sub, k))
             return found
 
         monkeypatch.setattr(reduction, "_closest_coeffs", checked)
         rng = random.Random(708)
-        while calls[0] < 20_000:
+        for _ in range(1300):
             rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
             for gram in (congruent(SYMMETRIC[0], rows), rng.choice(SYMMETRIC)):
                 if is_definite(gram):
                     greedy_reduce(congruent(gram, random_unimodular(rng, 3)))
+        assert calls[0] >= 20_000
         assert mismatches == []
+
+    def test_skewed_large_grams(self):
+        """Grams B B^T whose rows of B differ in scale by up to 500x, and skewed
+        diagonal Grams under unimodular changes, entries up to 10^6 (Gross Grams
+        reach 1.75 * 10^5), against the oracle."""
+        rng = random.Random(709)
+        seen, largest = 0, 0
+        for _ in range(300):
+            n = rng.choice((1, 2, 3))
+            scales = [rng.choice((1, 3, 10, 30, 100, 300, 500)) for _ in range(n)]
+            rows = [[rng.randint(-s, s) for _ in range(n)] for s in scales]
+            diagonal = sorted(rng.randint(1, 10 ** k) for k in rng.sample((1, 3, 5), n))
+            skewed = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+            for gram in (congruent([[int(i == j) for j in range(n)] for i in range(n)], rows),
+                         congruent(skewed, random_unimodular(rng, n))):
+                if not is_definite(gram) or max(abs(e) for row in gram for e in row) > 10 ** 6:
+                    continue
+                seen += 1
+                largest = max(largest, max(abs(e) for row in gram for e in row))
+                assert greedy_reduce(gram) == greedy_reduce_by_fractions(gram)
+        assert seen > 300 and largest > 10 ** 5
 
     @pytest.mark.parametrize("scale", [2, 3, 6])
     def test_scaled_gram_gives_same_transform(self, scale):
@@ -139,6 +173,19 @@ class TestGreedyReduce:
                     == greedy_reduce_by_fractions(moved.gram())
                 assert canonical_reduced_form(moved) == canonical_form_by_fractions(moved)
         assert forms > 10
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("gram", SYMMETRIC)
+    def test_symmetric_forms_under_unimodular_changes(self, gram):
+        """Z^3, A3, D3 and A3* have the largest sets of minimal bases, so the
+        pruned search must still find the oracle's minimum there."""
+        rng = random.Random(710 + sum(map(sum, gram)))
+        form = TernaryForm.from_gram(gram)
+        canonical = canonical_form_by_fractions(form)
+        assert canonical_reduced_form(form) == canonical
+        for _ in range(40):
+            assert canonical_reduced_form(form.transformed(random_unimodular(rng, 3))) == canonical
 
 
 @pytest.fixture(scope="module")
