@@ -157,8 +157,6 @@ def search_elements(order: Order, trace: int, norm: int) -> list[Quaternion]:
     target = 4 * norm - trace * trace
     if norm < 0 or target < 0:
         return []
-    if target == 0:  # 4 * norm = trace^2 makes trace even
-        return [order.algebra.one * (trace // 2)]
     form = gross_form(order)
     basis = order.reduced_gross_lattice().basis
     diagonal = (form.a, form.b, form.c)

@@ -8,23 +8,22 @@ H / s is the canonical basis.  Constructors that canonicalize
 (`Lattice.from_generators`) return that basis; a lattice built on a given
 basis (`Lattice(...)`, Minkowski reduction) keeps its own integer rows over
 s, from which its basis quaternions are built when first read, and the
-inverse of the unimodular change from H / s to it (`Lattice._set_basis`).
-Minkowski reduction knows all of these already: it shares (s, H) and the
-pivots with the lattice it reduces, and its change is the sign-flipped,
-sorted transform of the greedy reduction, so it runs no HNF and no solve.
+unimodular change from H / s to it (`Lattice._set_basis`).  Minkowski
+reduction knows all of these already: it shares (s, H) and the pivots
+with the lattice it reduces, and its change is the sign-flipped, sorted
+transform of the greedy reduction, so it runs no HNF and no solve.
 
 Every query runs on H.  Row i of H ends in a positive pivot in column c_i,
 with c_0 < c_1 < ..., so c * H = y is solved by back-substitution from the
 last row: each pivot must divide exactly and the residual must vanish.
 Membership, coordinates (mapped into the lattice's own basis when that is
 not H / s) and the index are this solve.  In rank 4, H is lower triangular
-and det H is the product of its pivots, so the Gram determinant is
-(ap det H)^2 / s^8 for the norm form (1, a, p, ap).  Two rows of H
+and det H is the product of its pivots (`pivot_product`).  Two rows of H
 multiply to an integer m with b_i * b_j = m / s^2; three such products and
 the norms of the three squares decide closure (`_products_outside`).
 `basis_is_integral` reads Trd and Nrd off the rows s * b_i of the
-lattice's own basis; `gram` is their integer Gram over s^2 in lowest terms.  Lower-rank determinants and Minkowski reduction
-use the integer Gram s^2 G of H.
+lattice's own basis; `gram` is their integer Gram over s^2 in lowest terms.
+Determinants and Minkowski reduction use the integer Gram s^2 G of H.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ class GramMatrix:
 class Lattice:
     """Finitely generated Z-lattice in the algebra, with an ordered basis."""
 
-    __slots__ = ("algebra", "hnf", "_pivots", "_rows", "_basis", "_from_hnf")
+    __slots__ = ("algebra", "hnf", "_pivots", "_rows", "_basis", "_change")
 
     def __init__(self, algebra: AlgebraParams, basis):
         basis = tuple(basis)
@@ -115,21 +114,18 @@ class Lattice:
         self.hnf = (scale // g, tuple(tuple(e // g for e in row) for row in hnf))
         self._pivots = tuple(max(j for j, e in enumerate(row) if e) for row in hnf)
         self._rows = self.hnf  # (s, s * basis), set by `_set_basis` for a given basis
-        self._basis = self._from_hnf = None
+        self._basis = self._change = None
 
     def _set_basis(self, scale: int, rows, change) -> None:
         """Put the lattice on the basis rows / scale = change * H / s.
 
-        change is unimodular, so change^-1 = det(change) * adj(change) maps
-        coordinates in H / s to coordinates in the new basis; it is kept only
-        when change is not the identity.  The basis quaternions are built
-        lazily from the rows.
+        change is unimodular; it is kept only when it is not the identity.
+        The basis quaternions are built lazily from the rows.
         """
         self._rows = (scale, rows)
-        self._basis = self._from_hnf = None
-        if change != [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]:
-            det, adj = adjugate(change)
-            self._from_hnf = [[det * e for e in row] for row in adj]
+        self._basis = None
+        identity = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
+        self._change = None if change == identity else change
 
     @property
     def rank(self) -> int:
@@ -144,9 +140,10 @@ class Lattice:
 
     @property
     def canonical_basis(self) -> tuple[Quaternion, ...]:
-        if self._from_hnf is None:
+        if self._change is None:
             return self.basis
-        return Lattice._from_rows(self.algebra, *self.hnf).basis
+        scale, rows = self.hnf
+        return tuple(row_quaternion(self.algebra, row, scale) for row in rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Lattice):
@@ -191,11 +188,12 @@ class Lattice:
         """Integer coordinates of x in this basis, or None when x is not a member."""
         if x.algebra != self.algebra:
             raise AlgebraMismatch("element from a different algebra")
-        den = lcm(*(c.denominator for c in x.coords))
-        coords = self._solve([c.numerator * (den // c.denominator) for c in x.coords], den)
-        if coords is None or self._from_hnf is None:
+        den, (num,) = cleared_rows((x,))
+        coords = self._solve(num, den)
+        if coords is None or self._change is None:
             return coords
-        return tuple(combine_rows(coords, self._from_hnf))
+        det, adj = adjugate(self._change)  # change^-1 = det * adj, as change is unimodular
+        return tuple(det * e for e in combine_rows(coords, adj))
 
     def contains(self, x: Quaternion) -> bool:
         return self.coords_of(x) is not None
@@ -249,15 +247,8 @@ class Lattice:
         return prod(row[col] for row, col in zip(self.hnf[1], self._pivots))
 
     def det(self) -> Fraction:
-        """Gram determinant; invariant under unimodular basis change.
-
-        (ap det H)^2 / s^8 in rank 4; in lower rank det(S) / s^(2r) for the
-        integer Gram S of the rows of H.
-        """
+        """Gram determinant, det(S) / s^(2r) for the integer Gram S of the r rows of H."""
         scale, rows = self.hnf
-        if self.rank == 4:
-            ap = self.algebra.a * self.algebra.p
-            return Fraction((ap * self.pivot_product()) ** 2, scale ** 8)
         return Fraction(det_int(integer_gram(self.algebra, rows)), scale ** (2 * self.rank))
 
     def index_in(self, sup: "Lattice") -> int:
@@ -288,9 +279,9 @@ class Lattice:
         of every basis vector made positive.  Integer work on the rows of H
         and their Gram s^2 G (Sylvester's criterion, then greedy reduction).
         The result shares (s, H) and the pivots with this lattice; its rows
-        are the reduced integer rows over s, and its map from coordinates in
-        H / s is the inverse of the sign-flipped, sorted `greedy_reduce`
-        transform.  No quaternion is built until its basis is read.
+        are the reduced integer rows over s, and its change of basis from
+        H / s is the sign-flipped, sorted `greedy_reduce` transform.  No
+        quaternion is built until its basis is read.
         """
         if self.rank > 3:
             raise RankError("reduction is only supported up to rank 3")

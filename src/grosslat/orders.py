@@ -9,7 +9,7 @@ ch. 15); it is exactly p for a maximal order.  The ideal of elements with
 norm divisible by p is p times the trace dual of O.
 
 A non-maximal order is enlarged by scanning the cosets of (1/q)O over O
-for integral elements whose adjunction shrinks the discriminant.  For
+for integral elements outside O; adjoining one shrinks the discriminant.  For
 y = sum c_i b_i, the element y/q is integral iff q | sum c_i Trd(b_i) and
 2q^2 | c^T T c, since Trd(y) = sum c_i Trd(b_i) and 2 Nrd(y) = c^T T c;
 the scan solves the first for c_3 and splits the second at the head
@@ -33,8 +33,7 @@ class Order:
     """A verified order; construction raises NotAnOrder when the axioms fail."""
 
     # _gross_form caches `forms.gross_form`, the norm form on the reduced Gross basis
-    __slots__ = ("lattice", "_trace_gram", "_discriminant", "_gross_lattice", "_reduced_gross",
-                 "_gross_form")
+    __slots__ = ("lattice", "_gross_lattice", "_reduced_gross", "_gross_form")
 
     def __init__(self, lattice: Lattice):
         if lattice.rank != 4:
@@ -56,8 +55,7 @@ class Order:
         """Take the lattice as it is: after the checks above, or from `_adjoin` or
         `order_from_pair`, which show their lattices to hold 1 and be integral and closed."""
         self.lattice = lattice
-        self._trace_gram = self._discriminant = self._gross_lattice = None
-        self._reduced_gross = self._gross_form = None
+        self._gross_lattice = self._reduced_gross = self._gross_form = None
         return self
 
     @property
@@ -84,26 +82,21 @@ class Order:
         """The integer matrix T_ij = Trd(b_i * conj(b_j)) of the canonical basis.
 
         T = 2 S / s^2 for the integer Gram S of the HNF rows H = s * b_i.
-        Computed once per order.
         """
-        if self._trace_gram is None:
-            scale, rows = self.lattice.hnf
-            den = scale * scale
-            doubled = [[2 * g for g in row] for row in integer_gram(self.algebra, rows)]
-            if any(g % den for row in doubled for g in row):
-                raise AlgebraInconsistency("trace form of the order is not integral")
-            self._trace_gram = [[g // den for g in row] for row in doubled]
-        return self._trace_gram
+        scale, rows = self.lattice.hnf
+        den = scale * scale
+        doubled = [[2 * g for g in row] for row in integer_gram(self.algebra, rows)]
+        if any(g % den for row in doubled for g in row):
+            raise AlgebraInconsistency("trace form of the order is not integral")
+        return [[g // den for g in row] for row in doubled]
 
     def reduced_discriminant(self) -> int:
         """4ap det(H) / s^4, the square root of det T; equals p iff maximal."""
-        if self._discriminant is None:
-            ap = self.algebra.a * self.algebra.p
-            disc, rem = divmod(4 * ap * self.lattice.pivot_product(), self.lattice.hnf[0] ** 4)
-            if rem:
-                raise AlgebraInconsistency("reduced discriminant is not an integer")
-            self._discriminant = disc
-        return self._discriminant
+        ap = self.algebra.a * self.algebra.p
+        disc, rem = divmod(4 * ap * self.lattice.pivot_product(), self.lattice.hnf[0] ** 4)
+        if rem:
+            raise AlgebraInconsistency("reduced discriminant is not an integer")
+        return disc
 
     def is_maximal(self) -> bool:
         return self.reduced_discriminant() == self.algebra.p
@@ -231,8 +224,8 @@ def extend_to_maximal(order: Order) -> Order:
     y = sum c_i b_i, 0 <= c_i < q, of qO in O are visited in
     `product(range(q), repeat=4)` order over the canonical basis.  Of the
     cosets with y/q integral (`_integral_cosets`), the first whose adjunction
-    (closed under multiplication, iterated to stability) strictly shrinks
-    the discriminant is taken.
+    (closed under multiplication, iterated to stability) yields an order is
+    taken; as y/q is outside O, that divides the discriminant by the index.
     """
     p = order.algebra.p
     current = order
@@ -252,10 +245,9 @@ def extend_to_maximal(order: Order) -> Order:
 
 
 def _enlarge_once(order: Order, q: int) -> Order | None:
-    disc = order.reduced_discriminant()
     for y in _integral_cosets(order, q):
         candidate = _adjoin(order, y, q)
-        if candidate is not None and candidate.reduced_discriminant() < disc:
+        if candidate is not None:
             return candidate
     return None
 
@@ -311,12 +303,11 @@ def _adjoin(order: Order, y, q: int) -> Order | None:
     p, ap = order.algebra.p, order.algebra.a * order.algebra.p
     lattice, factor, extra = order.lattice, q, [y]
     while True:
-        # the lattice spanned by the last one, over s, and the rows extra over s * factor
+        # of rank 4: spanned by the last one, over s, and the rows extra over s * factor
         scale, rows = lattice.hnf
         lattice = Lattice._from_rows(order.algebra, scale * factor,
                                      [*([factor * e for e in row] for row in rows), *extra])
-        if (lattice.rank != 4
-                or 16 * (ap * lattice.pivot_product()) ** 2 < p * p * lattice.hnf[0] ** 8
+        if (16 * (ap * lattice.pivot_product()) ** 2 < p * p * lattice.hnf[0] ** 8
                 or not lattice.basis_is_integral()):
             return None
         extra = list(lattice._products_outside())

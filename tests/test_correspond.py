@@ -172,8 +172,12 @@ class TestSearchElements:
         assert A.quat(0, 0, F(-1, 2), F(-1, 2)) in found
         assert A.quat(0, 0, F(1, 2), F(1, 2)) in found
 
-    def test_zero(self, order_p11):
+    def test_zero(self, order_p11, order_p19, order_p31):
+        """Trd = 2m and Nrd = m^2 leave Nrd(g) = 0 in the Gross lattice: only m itself."""
         assert search_elements(order_p11, 0, 0) == [order_p11.algebra.quat()]
+        for order in (order_p11, order_p19, order_p31):
+            for m in (-2, 1, 3):
+                assert search_elements(order, 2 * m, m * m) == [order.algebra.scalar(m)]
 
     def test_counterexample_element_found(self, order_p11):
         A = order_p11.algebra

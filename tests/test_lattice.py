@@ -55,10 +55,13 @@ class TestCanonicalize:
             Lattice.from_generators(alg11, [])
 
     def test_zero_generators_make_zero_lattice(self, alg11):
-        lat = Lattice.from_generators(alg11, [alg11.quat()])
-        assert lat.rank == 0
-        assert lat.contains(alg11.quat())
-        assert not lat.contains(alg11.i)
+        empty = {"algebra": alg11.to_dict(), "basis": []}
+        for lat in (Lattice.from_generators(alg11, [alg11.quat()]), Lattice(alg11, ()),
+                    Lattice.from_dict(empty)):
+            assert lat.rank == 0
+            assert lat.contains(alg11.quat())
+            assert not lat.contains(alg11.i)
+            assert lat.canonical_basis == ()
 
     def test_idempotent_and_equality(self, alg11):
         rng = random.Random(201)
@@ -653,7 +656,7 @@ class TestMinkowskiReduce:
 
 class TestMinkowskiSharesHnf:
     """The reduced lattice is built from the integer rows, the HNF and the
-    inverse transform the reduction already holds; it must be the lattice
+    transform the reduction already holds; it must be the lattice
     that the public constructor builds on the same basis."""
 
     @staticmethod
@@ -663,6 +666,8 @@ class TestMinkowskiSharesHnf:
         assert reduced.hnf == rebuilt.hnf
         assert reduced.gram().entries == rebuilt.gram().entries
         assert reduced.canonical_basis == rebuilt.canonical_basis
+        assert reduced.canonical_basis == Lattice.from_generators(reduced.algebra,
+                                                                  reduced.basis).basis
         assert reduced == rebuilt and hash(reduced) == hash(rebuilt)
         assert reduced.basis_is_integral() == rebuilt.basis_is_integral()
         rank = reduced.rank

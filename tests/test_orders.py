@@ -348,7 +348,9 @@ class TestSaturationMatchesScanOracle:
         """The scan solves the trace congruence for c_3: Trd(b_3) is 0 or 1,
         and there is one c_3 when it is 1, every c_3 or none when it is 0.
         Both branches are compared with the Fraction scan, at q = 5 and 13
-        along the saturation of Z<alpha, 3i> to the shipped p31 order too."""
+        along the saturation of Z<alpha, 3i> to the shipped p31 order too,
+        where each step contains the last order and divides its reduced
+        discriminant by the index."""
         branches = set()
 
         def check(order, q):
@@ -365,13 +367,19 @@ class TestSaturationMatchesScanOracle:
         # (j + k)/2 has norm 38/4: 2 Nrd = 76 is 0 mod q^2 but not mod 2q^2
         assert (alg19.j + alg19.k) / 2 not in integral_cosets(orders[0], 2)
         order = order_from_pair(fixture_p31.alpha, 3 * fixture_p31.algebra.i)
-        steps = []
+        steps, discs = [], [order.reduced_discriminant()]
         while not order.is_maximal():
             q = smallest_prime_factor(order.reduced_discriminant() // 31)
             check(order, q)
             steps.append(q)
-            order = _enlarge_once(order, q)
+            enlarged = _enlarge_once(order, q)
+            assert all(enlarged.contains(b) for b in order.lattice.basis)
+            index = order.lattice.index_in(enlarged.lattice)
+            assert order.reduced_discriminant() == enlarged.reduced_discriminant() * index
+            order = enlarged
+            discs.append(order.reduced_discriminant())
         assert steps == [5, 13] and order == fixture_p31.order()
+        assert discs == [2015, 403, 31]
         assert {(7, 0), (7, 1), (5, 0), (13, 1)} <= branches
 
     def test_trace_gram(self, order_p11, order_p31, order_p19):
