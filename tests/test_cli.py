@@ -1,4 +1,6 @@
 import argparse
+import gc
+import itertools
 import json
 import os
 import subprocess
@@ -12,6 +14,7 @@ from grosslat import (
     TernaryForm,
     search_elements,
 )
+from grosslat import cli
 from grosslat.cli import LIMITS, build_parser, cmd_equivalence, main
 from grosslat.forms import column_bound
 
@@ -19,7 +22,11 @@ from conftest import skewed_p193
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """`main`'s (status, stdout, stderr) on `argv`, usage errors (exit 2) included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -421,26 +428,30 @@ RUNS = [
 ]
 
 
+# argvs that `main` refuses before any work, with the message (TestDispatch)
+REFUSALS = [
+    (["correspond", "to-endo", "--case", "p11"], "to-endo needs --pair"),
+    (["correspond", "to-sublattice", "--case", "p11"], "to-sublattice needs --element"),
+    (["correspond", "to-endo"], "to-endo needs --pair"),
+    (["correspond", "to-sublattice"], "to-sublattice needs --element"),
+    (["correspond", "to-endo", "--element", ELEMENT], "to-endo needs --pair"),
+    (["correspond", "to-sublattice", "--pair", PAIR], "to-sublattice needs --element"),
+    (["verify-order"], NO_SOURCE),
+    (["correspond", "to-endo", "--pair", PAIR], NO_SOURCE),
+    (["correspond", "to-sublattice", "--element", ELEMENT], NO_SOURCE),
+    (["equivalence", "--ell-max", "3"], NO_SOURCE),
+    (["search-endo", "--trace", "0", "--norm", "11"], NO_SOURCE),
+    (["equivalence", "--ell-max", "501"], "--ell-max must be at most 500, got 501"),
+    (["search-endo", "--trace", "0", "--norm", "1000001"],
+     "--norm must be at most 1000000, got 1000001"),
+]
+
+
 class TestDispatch:
     """What `main` refuses before any work, and in which order: the size caps,
     then `correspond`'s payload, then the fixture source."""
 
-    @pytest.mark.parametrize("argv, message", [
-        (["correspond", "to-endo", "--case", "p11"], "to-endo needs --pair"),
-        (["correspond", "to-sublattice", "--case", "p11"], "to-sublattice needs --element"),
-        (["correspond", "to-endo"], "to-endo needs --pair"),
-        (["correspond", "to-sublattice"], "to-sublattice needs --element"),
-        (["correspond", "to-endo", "--element", ELEMENT], "to-endo needs --pair"),
-        (["correspond", "to-sublattice", "--pair", PAIR], "to-sublattice needs --element"),
-        (["verify-order"], NO_SOURCE),
-        (["correspond", "to-endo", "--pair", PAIR], NO_SOURCE),
-        (["correspond", "to-sublattice", "--element", ELEMENT], NO_SOURCE),
-        (["equivalence", "--ell-max", "3"], NO_SOURCE),
-        (["search-endo", "--trace", "0", "--norm", "11"], NO_SOURCE),
-        (["equivalence", "--ell-max", "501"], "--ell-max must be at most 500, got 501"),
-        (["search-endo", "--trace", "0", "--norm", "1000001"],
-         "--norm must be at most 1000000, got 1000001"),
-    ])
+    @pytest.mark.parametrize("argv, message", REFUSALS)
     def test_refused_with(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
@@ -553,8 +564,14 @@ class TestParserParity:
             return add_parser(self, name, **kwargs)
 
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        cli._parser.cache_clear()
         code, _, _ = run_cli(capsys, "represents", "--form", FORM, "--ell", "11")
         assert code == 0 and built == ["represents"]
+        # the second call reuses the parser; build_parser still builds anew
+        code, _, _ = run_cli(capsys, "represents", "--form", FORM, "--ell", "11")
+        assert code == 0 and built == ["represents"]
+        for verb in (*VERBS, None):
+            assert build_parser(verb) is not build_parser(verb)
 
     def test_top_level_help_lists_every_verb(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -565,6 +582,74 @@ class TestParserParity:
         listed = [line.split()[0] for line in out.splitlines()
                   if line.startswith("    ") and not line.startswith("     ")]
         assert listed == list(VERBS)
+
+
+class TestParserCache:
+    """`main` builds each verb's parser once per process: a warm parser prints,
+    refuses and parses exactly as a fresh one, and no call leaves argparse
+    objects behind for the cycle collector."""
+
+    def test_warm_runs_match_cold_runs(self, capsys):
+        argvs = [[*argv, *fmt] for argv in [*RUNS, *(a for a, _ in REFUSALS), ["reproduce"]]
+                 for fmt in ([], ["--format", "text"])]
+        by_verb = {}
+        for argv in argvs:
+            by_verb.setdefault(argv[0], []).append(argv)
+        # round-robin over the verbs, so that calls to one verb alternate argvs
+        order = [a for batch in itertools.zip_longest(*by_verb.values()) for a in batch if a]
+        cli._parser.cache_clear()
+        first = [run_cli(capsys, *argv) for argv in order]
+        second = [run_cli(capsys, *argv) for argv in order]
+        cold = []
+        for argv in order:
+            cli._parser.cache_clear()
+            cold.append(run_cli(capsys, *argv))
+        for argv, a, b, c in zip(order, first, second, cold):
+            assert a == b == c, argv
+        assert {code for code, _, _ in first} == {0, 1, 2}
+
+    def test_format_does_not_leak(self, capsys):
+        for argv in RUNS:
+            code, text, _ = run_cli(capsys, *argv, "--format", "text")
+            assert code == 0 and text.startswith("command: ")
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0 and json.loads(out)["ok"] is True
+
+    def test_source_does_not_leak(self, capsys, tmp_path, fixture_p19):
+        path = tmp_path / "p19.json"
+        path.write_text(json.dumps(fixture_p19.to_dict()), "utf-8")
+        code, out, _ = run_cli(capsys, "verify-order", "--case", "p11")
+        assert code == 0 and json.loads(out)["label"] == "p11-j0"
+        code, out, _ = run_cli(capsys, "verify-order", "--config", str(path))
+        assert code == 0 and json.loads(out)["label"] == "p19-j7"
+        assert run_cli(capsys, "verify-order") == (1, "", json.dumps({"error": NO_SOURCE}) + "\n")
+
+    def test_help_width_read_when_formatted(self, capsys, monkeypatch):
+        argv = ["equivalence", "--help"]
+        monkeypatch.setenv("COLUMNS", "200")
+        cli._parser.cache_clear()
+        wide = run_cli(capsys, *argv)
+        monkeypatch.setenv("COLUMNS", "40")
+        narrow = run_cli(capsys, *argv)
+        with pytest.raises(SystemExit):
+            build_parser("equivalence").parse_args(argv)
+        assert narrow == (0, capsys.readouterr().out, "") != wide
+
+    def test_warm_call_leaves_no_argparse_garbage(self, capsys):
+        argv = ["represents", "--form", FORM, "--ell", "11"]
+        run_cli(capsys, *argv)
+        gc.collect()
+        flags = gc.get_debug()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            run_cli(capsys, *argv)
+            gc.collect()
+            leaked = [type(obj).__name__ for obj in gc.garbage if isinstance(
+                obj, (argparse.HelpFormatter, argparse.Action, argparse.ArgumentParser))]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert leaked == []
 
 
 class TestClosedStdout:
