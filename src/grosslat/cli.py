@@ -4,9 +4,11 @@ Verbs: verify-order, reproduce, correspond, equivalence, represents,
 search-endo.  Reports are JSON with a stable key order (or --format text,
 one line per field, nested values as compact JSON); the exit status is 0
 iff every check passed.  A stdout closed before the report is written ends
-the run with status 1 and nothing on stderr.  `main(argv)` builds the
-parser of the verb it runs only (`build_parser(verb)`), once per process,
-and reuses it; an argv that names no verb gets the full parser.
+the run with status 1 and nothing on stderr.  `main(argv)` returns the
+status, argparse's too (2 for a usage error, 0 after --help), and raises
+no SystemExit.  It builds the parser of the verb it runs only
+(`build_parser(verb)`), once per process, and reuses it; an argv that
+names no verb gets the full parser.
 
 The size arguments are capped (LIMITS): --ell and --norm at 10^6 and
 --ell-max at 500, far above the paper's tables (ell <= 50).  Enumeration
@@ -289,7 +291,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # no verb first (help, an unknown verb, a flag): the full parser, whose
     # messages list every verb's help
-    args = _parser(argv[0] if argv and argv[0] in VERBS else None).parse_args(argv)
+    try:
+        args = _parser(argv[0] if argv and argv[0] in VERBS else None).parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (2), already printed
+        return exc.code
     try:
         _check_limits(args)
         report = args.run(args)

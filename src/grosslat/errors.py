@@ -28,6 +28,15 @@ def scalar_field(value, what: str):
     return value
 
 
+def integer_field(value, what: str) -> int:
+    """The integer of a JSON integer or a string such as "-7"; anything else raises MalformedInput."""
+    value = scalar_field(value, what)
+    try:
+        return int(value)
+    except ValueError:
+        raise MalformedInput(f"{what} must be an integer, got {value!r}") from None
+
+
 def rational_field(value, what: str) -> Fraction:
     """The exact rational of an integer or a string such as "-1/2".
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import MalformedInput, require_fields, scalar_field
+from .errors import MalformedInput, integer_field, require_fields, scalar_field
 from .lattice import Lattice
 from .orders import Order
 from .quat import AlgebraParams, Quaternion
@@ -42,7 +42,7 @@ class FixtureConfig:
             raise MalformedInput("order_basis must be a list of coordinate lists")
         basis = [algebra.from_coord_strings(row) for row in data["order_basis"]]
         alpha = algebra.from_coord_strings(data["alpha"])
-        ell = int(scalar_field(data["ell"], "fixture field ell"))
+        ell = integer_field(data["ell"], "fixture field ell")
         if ell < 1:
             raise ValueError(f"ell must be positive, got {ell}")
         return cls(

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt
 
-from .errors import DefinitenessError, IntegralityError, require_fields, scalar_field
+from .errors import DefinitenessError, IntegralityError, integer_field, require_fields
 from .lattice import GramMatrix
 from .linalg import is_positive_definite
 from .orders import Order
@@ -95,7 +95,7 @@ class TernaryForm:
     @classmethod
     def from_dict(cls, data: dict) -> "TernaryForm":
         require_fields(data, "ABCDEF", "form")
-        return cls(*(int(scalar_field(data[k], f"form field {k}")) for k in "ABCDEF"))
+        return cls(*(integer_field(data[k], f"form field {k}") for k in "ABCDEF"))
 
     @classmethod
     def from_gram(cls, m) -> "TernaryForm":

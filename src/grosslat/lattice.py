@@ -4,23 +4,22 @@ A lattice is stored as integer rows: a scale s > 0 and the row Hermite
 normal form H (trailing-pivot convention) of s times a basis, with the gcd
 that s shares with the entries of H divided out.  The pair (s, H) is unique
 to the lattice, so two lattices are equal iff their pairs coincide, and
-H / s is the canonical basis.  Constructors that canonicalize
-(`Lattice.from_generators`) return that basis; a lattice built on a given
-basis (`Lattice(...)`, Minkowski reduction) keeps its own integer rows over
-s, from which its basis quaternions are built when first read, and the
-unimodular change from H / s to it (`Lattice._set_basis`).  Minkowski
-reduction knows all of these already: it shares (s, H) and the pivots
-with the lattice it reduces, and its change is the sign-flipped, sorted
-transform of the greedy reduction, so it runs no HNF and no solve.
+H / s is the canonical basis.  The one other representation a lattice
+keeps is the integer rows of its own basis over their scale, from which its
+basis quaternions are built when first read: (s, H) itself after
+`Lattice.from_generators`, the given basis for `Lattice(...)`, and the
+reduced rows over s for Minkowski reduction, which so runs no HNF and no
+solve.  No change of basis is stored; `coords_of` solves for it.
 
 Every query runs on H.  Row i of H ends in a positive pivot in column c_i,
 with c_0 < c_1 < ..., so c * H = y is solved by back-substitution from the
 last row: each pivot must divide exactly and the residual must vanish.
-Membership, coordinates (mapped into the lattice's own basis when that is
-not H / s) and the index are this solve.  In rank 4, H is lower triangular
-and det H is the product of its pivots (`pivot_product`).  Two rows of H
-multiply to an integer m with b_i * b_j = m / s^2; three such products and
-the norms of the three squares decide closure (`_products_outside`).
+Membership, coordinates and the index are this solve; coordinates in an
+own basis other than H / s also solve its rows against H.  In rank 4, H is
+lower triangular and det H is the product of its pivots (`pivot_product`).
+Two rows of H multiply to an integer m with b_i * b_j = m / s^2; three
+such products and the norms of the three squares decide closure
+(`_products_outside`).
 `basis_is_integral` reads Trd and Nrd off the rows s * b_i of the
 lattice's own basis; `gram` is their integer Gram over s^2 in lowest terms.
 Determinants and Minkowski reduction use the integer Gram s^2 G of H.
@@ -28,6 +27,7 @@ Determinants and Minkowski reduction use the integer Gram s^2 G of H.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -72,7 +72,7 @@ class GramMatrix:
 class Lattice:
     """Finitely generated Z-lattice in the algebra, with an ordered basis."""
 
-    __slots__ = ("algebra", "hnf", "_pivots", "_rows", "_basis", "_change")
+    __slots__ = ("algebra", "hnf", "_pivots", "_rows", "_basis")
 
     def __init__(self, algebra: AlgebraParams, basis):
         basis = tuple(basis)
@@ -84,8 +84,7 @@ class Lattice:
         # the HNF drops exactly the dependent directions
         if self.rank != len(basis):
             raise RankError("basis vectors are linearly dependent")
-        self._set_basis(scale, rows, [self._solve(row, scale) for row in rows])
-        self._basis = basis
+        self._rows, self._basis = (scale, rows), basis
 
     # -- construction -----------------------------------------------------
 
@@ -113,19 +112,8 @@ class Lattice:
         self.algebra = algebra
         self.hnf = (scale // g, tuple(tuple(e // g for e in row) for row in hnf))
         self._pivots = tuple(max(j for j, e in enumerate(row) if e) for row in hnf)
-        self._rows = self.hnf  # (s, s * basis), set by `_set_basis` for a given basis
-        self._basis = self._change = None
-
-    def _set_basis(self, scale: int, rows, change) -> None:
-        """Put the lattice on the basis rows / scale = change * H / s.
-
-        change is unimodular; it is kept only when it is not the identity.
-        The basis quaternions are built lazily from the rows.
-        """
-        self._rows = (scale, rows)
+        self._rows = self.hnf  # the own basis is H / s until a caller gives another
         self._basis = None
-        identity = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
-        self._change = None if change == identity else change
 
     @property
     def rank(self) -> int:
@@ -140,7 +128,7 @@ class Lattice:
 
     @property
     def canonical_basis(self) -> tuple[Quaternion, ...]:
-        if self._change is None:
+        if self._rows is self.hnf:
             return self.basis
         scale, rows = self.hnf
         return tuple(row_quaternion(self.algebra, row, scale) for row in rows)
@@ -190,9 +178,11 @@ class Lattice:
             raise AlgebraMismatch("element from a different algebra")
         den, (num,) = cleared_rows((x,))
         coords = self._solve(num, den)
-        if coords is None or self._change is None:
+        if not coords or self._rows is self.hnf:  # None, rank 0, or on H / s already
             return coords
-        det, adj = adjugate(self._change)  # change^-1 = det * adj, as change is unimodular
+        # the own rows are change * H / s; change is unimodular, so change^-1 = det * adj
+        scale, rows = self._rows
+        det, adj = adjugate([self._solve(row, scale) for row in rows])
         return tuple(det * e for e in combine_rows(coords, adj))
 
     def contains(self, x: Quaternion) -> bool:
@@ -278,10 +268,9 @@ class Lattice:
         Ties are broken by coordinate order with the first nonzero coordinate
         of every basis vector made positive.  Integer work on the rows of H
         and their Gram s^2 G (Sylvester's criterion, then greedy reduction).
-        The result shares (s, H) and the pivots with this lattice; its rows
-        are the reduced integer rows over s, and its change of basis from
-        H / s is the sign-flipped, sorted `greedy_reduce` transform.  No
-        quaternion is built until its basis is read.
+        The result is a copy of this lattice with the same (s, H) and pivots;
+        its own rows are the reduced integer rows over s, and no change of
+        basis is kept.  No quaternion is built until its basis is read.
         """
         if self.rank > 3:
             raise RankError("reduction is only supported up to rank 3")
@@ -294,12 +283,10 @@ class Lattice:
         for t in greedy_reduce(gram):
             v = combine_rows(t, rows)
             sign = 1 if next(c for c in v if c) > 0 else -1
-            reduced.append((sum(w * c * c for w, c in zip(weights, v)), tuple(sign * c for c in v),
-                            tuple(sign * c for c in t)))
-        reduced.sort(key=lambda r: r[:2])
-        lattice = Lattice.__new__(Lattice)
-        lattice.algebra, lattice.hnf, lattice._pivots = self.algebra, self.hnf, self._pivots
-        lattice._set_basis(scale, [v for _, v, _ in reduced], [t for _, _, t in reduced])
+            reduced.append((sum(w * c * c for w, c in zip(weights, v)), tuple(sign * c for c in v)))
+        reduced.sort()
+        lattice = copy.copy(self)
+        lattice._rows, lattice._basis = (scale, [v for _, v in reduced]), None
         return lattice
 
     # -- serialization ---------------------------------------------------------

@@ -32,8 +32,9 @@ from .quat import AlgebraParams, Quaternion, mul_coords
 class Order:
     """A verified order; construction raises NotAnOrder when the axioms fail."""
 
-    # _gross_form caches `forms.gross_form`, the norm form on the reduced Gross basis
-    __slots__ = ("lattice", "_gross_lattice", "_reduced_gross", "_gross_form")
+    # the Gross lattice is built from the lattice's (s, H) on each call; cached are
+    # its reduced basis and `forms.gross_form`, the norm form on that basis
+    __slots__ = ("lattice", "_reduced_gross", "_gross_form")
 
     def __init__(self, lattice: Lattice):
         if lattice.rank != 4:
@@ -55,7 +56,7 @@ class Order:
         """Take the lattice as it is: after the checks above, or from `_adjoin` or
         `order_from_pair`, which show their lattices to hold 1 and be integral and closed."""
         self.lattice = lattice
-        self._gross_lattice = self._reduced_gross = self._gross_form = None
+        self._reduced_gross = self._gross_form = None
         return self
 
     @property
@@ -108,9 +109,7 @@ class Order:
         return self.gross_lattice().basis
 
     def gross_lattice(self) -> Lattice:
-        if self._gross_lattice is None:
-            self._gross_lattice = self.lattice.gross_image()
-        return self._gross_lattice
+        return self.lattice.gross_image()
 
     def reduced_gross_lattice(self) -> Lattice:
         """The Gross lattice on its Minkowski-reduced basis, computed once per order."""

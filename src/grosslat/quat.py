@@ -19,9 +19,9 @@ from .errors import (
     LimitExceeded,
     MalformedInput,
     RamificationError,
+    integer_field,
     rational_field,
     require_fields,
-    scalar_field,
 )
 from .linalg import is_prime, smallest_prime_factor
 
@@ -100,7 +100,7 @@ class AlgebraParams:
     @classmethod
     def from_dict(cls, data: dict) -> "AlgebraParams":
         require_fields(data, ("a", "p"), "algebra")
-        return cls(*(int(scalar_field(data[k], f"algebra field {k}")) for k in "ap"))
+        return cls(*(integer_field(data[k], f"algebra field {k}") for k in "ap"))
 
 
 def _split(n: int, q: int) -> tuple[int, int]:

@@ -10,12 +10,14 @@ from pathlib import Path
 import pytest
 
 from grosslat import (
+    AlgebraParams,
     FixtureConfig,
     TernaryForm,
     search_elements,
 )
 from grosslat import cli
 from grosslat.cli import LIMITS, build_parser, cmd_equivalence, main
+from grosslat.errors import MalformedInput
 from grosslat.forms import column_bound
 
 from conftest import skewed_p193
@@ -23,10 +25,7 @@ from conftest import skewed_p193
 
 def run_cli(capsys, *argv):
     """`main`'s (status, stdout, stderr) on `argv`, usage errors (exit 2) included."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -227,6 +226,23 @@ class TestMalformedInput:
     def test_fixture_float_ell(self, capsys, tmp_path, fixture_p11):
         self.assert_fixture_refused(capsys, tmp_path, fixture_p11,
                                     lambda d: d.update(ell=2.7), mentions="fixture field ell")
+
+    @pytest.mark.parametrize("value", ["x", "1/2", [[11]]], ids=["word", "fraction", "nested-list"])
+    def test_integer_fields(self, fixture_p11, value):
+        """The three integer fields refuse a non-integer with MalformedInput naming the field."""
+        form = {"A": 1, "B": 1, "C": 4, "D": -1, "E": -1, "F": 1}
+        for parse, data, field in [
+                (AlgebraParams.from_dict, {"a": value, "p": 11}, "algebra field a"),
+                (TernaryForm.from_dict, {**form, "A": value}, "form field A"),
+                (FixtureConfig.from_dict, {**fixture_p11.to_dict(), "ell": value},
+                 "fixture field ell")]:
+            with pytest.raises(MalformedInput, match=field):
+                parse(data)
+
+    def test_integer_fields_accept_integer_strings(self, fixture_p11):
+        assert AlgebraParams.from_dict({"a": "3", "p": " 11 "}) == AlgebraParams(3, 11)
+        assert TernaryForm.from_dict({k: "-2" for k in "ABCDEF"}) == TernaryForm(*[-2] * 6)
+        assert FixtureConfig.from_dict({**fixture_p11.to_dict(), "ell": "+5"}).ell == 5
 
     def test_element_null_coordinate(self, capsys):
         self.assert_refused(capsys, "correspond", "to-sublattice", "--case", "p11",
@@ -458,16 +474,12 @@ class TestDispatch:
         assert json.loads(err) == {"error": message}
 
     def test_reproduce_needs_its_case(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["reproduce"])
-        assert exc.value.code == 2
+        assert main(["reproduce"]) == 2
         assert "the following arguments are required: case" in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", VERBS)
     def test_help_exits_zero(self, capsys, verb):
-        with pytest.raises(SystemExit) as exc:
-            main([verb, "--help"])
-        assert exc.value.code == 0
+        assert main([verb, "--help"]) == 0
         assert capsys.readouterr().out.startswith(f"usage: grosslat {verb} ")
 
 
@@ -574,9 +586,7 @@ class TestParserParity:
             assert build_parser(verb) is not build_parser(verb)
 
     def test_top_level_help_lists_every_verb(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--help"])
-        assert exc.value.code == 0
+        assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "{" + ",".join(VERBS) + "}" in out
         listed = [line.split()[0] for line in out.splitlines()

@@ -62,6 +62,7 @@ class TestCanonicalize:
             assert lat.contains(alg11.quat())
             assert not lat.contains(alg11.i)
             assert lat.canonical_basis == ()
+            assert lat.coords_of(alg11.quat()) == ()
 
     def test_idempotent_and_equality(self, alg11):
         rng = random.Random(201)
@@ -299,6 +300,10 @@ class TestBackSubstitution:
             canonical = Lattice.from_generators(alg11, random_lattice(rng, alg11, rank).basis)
             assert canonical.basis == canonical.canonical_basis
             self.check_against_oracle(canonical, rng)
+            # given H / s as its basis: its own rows, with the identity as the change
+            given = Lattice(alg11, canonical.canonical_basis)
+            assert given.canonical_basis == canonical.canonical_basis == given.basis
+            self.check_against_oracle(given, rng)
             rows = random_unimodular(rng, rank)
             rows[0] = [-c for c in rows[0]]
             image = transformed(canonical, rows)

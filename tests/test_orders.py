@@ -432,6 +432,10 @@ class TestGrossBasisConversion:
             # the Gross lattice's HNF basis is the images, in order
             images = [gross_map(a) for a in (a1, a2, a3)]
             assert tuple(images) == order.gross_basis() == order.gross_lattice().basis
+            # built afresh on each call, the same lattice each time
+            first, second = order.gross_lattice(), order.gross_lattice()
+            assert first == second and first.hnf == second.hnf
+            assert order.gross_basis() == order.reduced_gross_lattice().canonical_basis
 
 
 class TestNormPIdeal:
